@@ -1,7 +1,8 @@
 #!/bin/sh
-# Tier-1 verification: configure, build, run the full test suite, then
-# smoke one bench through the parallel runner and sanity-check its
-# structured JSON output.
+# Tier-1 verification: configure, build, run the full test suite,
+# repeat the determinism tests on every core, then smoke one bench
+# through the parallel runner and sanity-check its structured JSON
+# output.
 # Usage: scripts/check.sh [build-dir]
 set -e
 
@@ -13,6 +14,9 @@ cmake -B "$BUILD" -S .
 cmake --build "$BUILD" -j "$(nproc 2>/dev/null || echo 4)"
 ctest --test-dir "$BUILD" --output-on-failure -j \
     "$(nproc 2>/dev/null || echo 4)"
+
+# The CI determinism job's stress step: every core, 20 repeats.
+"$ROOT"/scripts/stress_determinism.sh "$BUILD" 20
 
 # Smoke sweep: one figure bench on the thread pool with JSON output.
 SMOKE_JSON=/tmp/out.json

@@ -73,13 +73,11 @@ struct SystemConfig
     bool scrambleFrames = true;
 
     /**
-     * Simulation worker threads: 1 (default) runs the classic serial
-     * loop; N > 1 runs one latency-decoupled domain (group) per thread
-     * under the conservative executor (sim/domain_runner.hh); 0 picks
-     * min(domains, hardware threads). Execution-engine knob only — the
-     * simulated system and its results are identical at every value —
-     * so, like trace/audit, it is excluded from print() and hence from
-     * config fingerprints.
+     * Must be 1; System's constructor rejects any other value. A run
+     * has one serial event loop, and parallelism comes from running
+     * independent runs side by side (--jobs, exp::runJobs). Kept only
+     * because the perfbench driver still assigns it; a later change to
+     * that benchmark drops the assignment and then this field.
      */
     unsigned simThreads = 1;
 

@@ -179,4 +179,16 @@ TEST(SystemIntegration, BaselineConfigMatchesTable1)
     EXPECT_EQ(cfg.scheduler, core::SchedulerKind::Fcfs);
 }
 
+TEST(SystemDeathTest, SimThreadsOtherThanOneIsFatal)
+{
+    // A run has one serial event loop; parallelism is --jobs.
+    for (const unsigned threads : {0u, 2u, 4u}) {
+        auto cfg = system::SystemConfig::baseline();
+        cfg.simThreads = threads;
+        EXPECT_EXIT(system::System{cfg}, ::testing::ExitedWithCode(1),
+                    "simThreads = " + std::to_string(threads)
+                        + " is not supported.*--jobs");
+    }
+}
+
 } // namespace
