@@ -19,6 +19,9 @@
 #include <map>
 #include <string>
 
+#include "system/system.hh"
+#include "trace/digest.hh"
+
 namespace gpuwalk::testing {
 
 /** The values a golden entry pins down. */
@@ -32,6 +35,21 @@ struct GoldenEntry
     std::uint64_t walksCompleted = 0;
     std::uint64_t traceEvents = 0;
 };
+
+/** The golden entry pinning down traced run @p stats. */
+inline GoldenEntry
+goldenEntryOf(const system::RunStats &stats)
+{
+    GoldenEntry e;
+    e.digest = trace::digestHex(stats.traceDigest);
+    e.runtimeTicks = stats.runtimeTicks;
+    e.instructions = stats.instructions;
+    e.translationRequests = stats.translationRequests;
+    e.walkRequests = stats.walkRequests;
+    e.walksCompleted = stats.walksCompleted;
+    e.traceEvents = stats.traceEvents;
+    return e;
+}
 
 inline std::string
 goldenPath()
@@ -167,6 +185,22 @@ updateRequested()
                 << key_;                                                  \
             EXPECT_EQ(got_.traceEvents, want_.traceEvents) << key_;       \
         }                                                                 \
+    } while (0)
+
+/**
+ * The body of every golden test: with GPUWALK_UPDATE_GOLDEN set, merge
+ * @p computed into the store and skip; otherwise compare it against the
+ * committed goldens.
+ */
+#define GPUWALK_CHECK_GOLDENS(computed)                                   \
+    do {                                                                  \
+        if (gpuwalk::testing::updateRequested()) {                        \
+            ASSERT_TRUE(gpuwalk::testing::writeGoldensMerged(computed))   \
+                << "cannot write " << gpuwalk::testing::goldenPath();     \
+            GTEST_SKIP() << "goldens rewritten at "                       \
+                         << gpuwalk::testing::goldenPath();               \
+        }                                                                 \
+        GPUWALK_EXPECT_GOLDENS_MATCH(computed);                           \
     } while (0)
 
 } // namespace gpuwalk::testing

@@ -31,7 +31,6 @@
 
 #include "exp/run.hh"
 #include "golden_store.hh"
-#include "trace/digest.hh"
 
 namespace {
 
@@ -76,18 +75,10 @@ runPoint(const std::string &workload, core::SchedulerKind sched)
     const exp::RunResult result =
         exp::runOne(cfg, workload, goldenParams());
 
-    GoldenEntry e;
-    e.digest = trace::digestHex(result.stats.traceDigest);
-    e.runtimeTicks = result.stats.runtimeTicks;
-    e.instructions = result.stats.instructions;
-    e.translationRequests = result.stats.translationRequests;
-    e.walkRequests = result.stats.walkRequests;
-    e.walksCompleted = result.stats.walksCompleted;
-    e.traceEvents = result.stats.traceEvents;
     EXPECT_EQ(result.stats.traceDropped, 0u)
         << "ring too small for golden runs; digests would depend on "
            "drop behaviour";
-    return e;
+    return gpuwalk::testing::goldenEntryOf(result.stats);
 }
 
 TEST(DigestGolden, AllSchedulersMatchCommittedDigests)
@@ -99,14 +90,7 @@ TEST(DigestGolden, AllSchedulersMatchCommittedDigests)
                 runPoint(workload, sched);
     }
 
-    if (gpuwalk::testing::updateRequested()) {
-        ASSERT_TRUE(gpuwalk::testing::writeGoldensMerged(computed))
-            << "cannot write " << gpuwalk::testing::goldenPath();
-        GTEST_SKIP() << "goldens rewritten at "
-                     << gpuwalk::testing::goldenPath();
-    }
-
-    GPUWALK_EXPECT_GOLDENS_MATCH(computed);
+    GPUWALK_CHECK_GOLDENS(computed);
 }
 
 /** The digest must be a pure function of simulated behaviour: two

@@ -14,7 +14,8 @@
  *    (system.reply_conservation holds in every audited run below);
  *  - the trace stream, the prefetch counters, and the demand-walk
  *    counters agree exactly;
- *  - --prefetch=spp is bit-identical across repeated runs.
+ *  - --prefetch=spp is bit-identical across repeated runs, and its
+ *    idle-admission trace digest is pinned by a committed golden.
  */
 
 #include <gtest/gtest.h>
@@ -24,6 +25,7 @@
 #include <vector>
 
 #include "exp/report.hh"
+#include "golden_store.hh"
 #include "iommu/iommu.hh"
 #include "iommu/prefetch/spp_prefetcher.hh"
 #include "mem/dram_controller.hh"
@@ -409,7 +411,7 @@ struct SppRun
 
 SppRun
 runSpp(const std::string &workload, core::SchedulerKind sched,
-       bool gmmu)
+       bool gmmu, sim::Cycles compute_cycles = 20)
 {
     auto cfg = system::SystemConfig::baseline();
     cfg.scheduler = sched;
@@ -433,6 +435,7 @@ runSpp(const std::string &workload, core::SchedulerKind sched,
     params.instructionsPerWavefront = 12;
     params.footprintScale = 0.05;
     params.seed = 17;
+    params.computeCycles = compute_cycles;
 
     system::System sys(cfg);
     sys.loadBenchmark(workload, params);
@@ -476,6 +479,22 @@ TEST(SppDeterminism, BitIdenticalAcrossRepeatedRuns)
             runSpp(point.workload, point.sched, point.gmmu);
         EXPECT_EQ(second.statsJson, first.statsJson) << point.workload;
     }
+}
+
+TEST(SppGolden, IdleAdmissionMatchesCommittedDigest)
+{
+    // Idle admission starts predictions straight on an idle walker,
+    // never through the speculative class: the direct-issue path.
+    // Long compute gaps leave the walkers idle often enough for GEV's
+    // predictions to issue (and some to be used).
+    const auto run = runSpp("GEV", core::SchedulerKind::SimtAware,
+                            /*gmmu=*/false, /*compute_cycles=*/200);
+    ASSERT_GT(run.stats.prefetch.useful, 0u);
+    ASSERT_EQ(run.stats.spec.admitted, 0u);
+    const std::map<std::string, gpuwalk::testing::GoldenEntry> computed{
+        {"spp/gev-simt-idle",
+         gpuwalk::testing::goldenEntryOf(run.stats)}};
+    GPUWALK_CHECK_GOLDENS(computed);
 }
 
 } // namespace

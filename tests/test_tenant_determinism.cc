@@ -30,13 +30,13 @@
 #include "exp/report.hh"
 #include "golden_store.hh"
 #include "system/system.hh"
-#include "trace/digest.hh"
 #include "workload/tenant_mix.hh"
 
 namespace {
 
 using namespace gpuwalk;
 using gpuwalk::testing::GoldenEntry;
+using gpuwalk::testing::goldenEntryOf;
 
 /** A reference multi-tenant point: tenant count, churn, policy. */
 struct MixPoint
@@ -109,20 +109,6 @@ runMix(const MixPoint &point)
     return out;
 }
 
-GoldenEntry
-toEntry(const system::RunStats &stats)
-{
-    GoldenEntry e;
-    e.digest = trace::digestHex(stats.traceDigest);
-    e.runtimeTicks = stats.runtimeTicks;
-    e.instructions = stats.instructions;
-    e.translationRequests = stats.translationRequests;
-    e.walkRequests = stats.walkRequests;
-    e.walksCompleted = stats.walksCompleted;
-    e.traceEvents = stats.traceEvents;
-    return e;
-}
-
 TEST(TenantDeterminism, BitIdenticalAcrossRepeatedRuns)
 {
     for (const auto &point : referencePoints) {
@@ -167,16 +153,9 @@ TEST(TenantGolden, ReferenceMixesMatchCommittedDigests)
 {
     std::map<std::string, GoldenEntry> computed;
     for (const auto &point : referencePoints)
-        computed[point.key] = toEntry(runMix(point).stats);
+        computed[point.key] = goldenEntryOf(runMix(point).stats);
 
-    if (gpuwalk::testing::updateRequested()) {
-        ASSERT_TRUE(gpuwalk::testing::writeGoldensMerged(computed))
-            << "cannot write " << gpuwalk::testing::goldenPath();
-        GTEST_SKIP() << "tenant goldens rewritten at "
-                     << gpuwalk::testing::goldenPath();
-    }
-
-    GPUWALK_EXPECT_GOLDENS_MATCH(computed);
+    GPUWALK_CHECK_GOLDENS(computed);
 }
 
 } // namespace

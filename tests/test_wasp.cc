@@ -26,11 +26,13 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "exp/report.hh"
+#include "golden_store.hh"
 #include "iommu/prefetch/spp_prefetcher.hh"
 #include "system/system.hh"
 #include "workload/workload.hh"
@@ -267,6 +269,21 @@ TEST(WaspBehavior, SppLeaderTrainingStaysAsidIsolated)
     EXPECT_EQ(wa[0].vaPage, (a + 15 + 1) << mem::pageShift);
     EXPECT_EQ(wb[0].vaPage, (b + 30 + 2) << mem::pageShift);
     EXPECT_EQ(spp.streamResets(), 0u);
+}
+
+TEST(WaspGolden, BudgetPredictionsMatchCommittedDigest)
+{
+    // Budget admission buffers SPP predictions in the speculative
+    // class beside the leader walks: the spec-class prediction path.
+    const WaspPoint point{"wasp/mvt-spp-budget", "MVT",
+                          iommu::PrefetchKind::Spp,
+                          iommu::SpecAdmission::Budget};
+    const auto run = runPoint(point);
+    ASSERT_GT(run.stats.prefetch.issued, 0u);
+    ASSERT_GT(run.stats.spec.dispatched, 0u);
+    const std::map<std::string, gpuwalk::testing::GoldenEntry> computed{
+        {point.key, gpuwalk::testing::goldenEntryOf(run.stats)}};
+    GPUWALK_CHECK_GOLDENS(computed);
 }
 
 // ---------------------------------------------------------------------
