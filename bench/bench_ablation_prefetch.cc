@@ -7,15 +7,14 @@
  * Full factorial: prefetch policy {off, next-page, spp} x walk
  * scheduler {fcfs, simt-aware} x SIMT-aware aging {on, off}, over all
  * Table II workloads, plus a speculative-admission axis {idle,
- * reserved, budget} for the aging-on cells of each live prefetcher.
+ * budget} for the aging-on cells of each live prefetcher.
  * Under idle admission every speculative walk is idle-bandwidth only,
  * so no cell may slow demand traffic down; the interesting questions
  * are (a) whether SPP's signature-path lookahead finds the strided
  * sub-streams inside the irregular apps that next-page misses, (b)
  * whether the benefit survives scheduler and aging interaction, and
  * (c) whether routing predictions through the speculative walk class
- * (reserved walkers / token budget) buys coverage without taxing
- * demand latency. Per-cell accuracy/coverage/pollution land in the
+ * under a token budget buys coverage without taxing demand latency. Per-cell accuracy/coverage/pollution land in the
  * JSON via each run's stats.prefetch block.
  */
 
@@ -79,24 +78,18 @@ main(int argc, char **argv)
         }
     }
     // Admission axis: route predictions through the speculative walk
-    // class instead of the legacy idle-walker direct start. Only the
-    // aging-on cells of the live prefetchers — idle admission is the
-    // "pf-*/aging-on" variants above.
-    constexpr iommu::SpecAdmission admissions[] = {
-        iommu::SpecAdmission::Reserved, iommu::SpecAdmission::Budget};
+    // class under a token budget instead of the idle-walker direct
+    // start. Only the aging-on cells of the live prefetchers — idle
+    // admission is the "pf-*/aging-on" variants above.
     for (const auto kind :
          {iommu::PrefetchKind::NextPage, iommu::PrefetchKind::Spp}) {
-        for (const auto adm : admissions) {
-            std::string name = std::string("pf-") + pfName(kind)
-                               + "/adm-" + iommu::toString(adm);
-            spec.variants.push_back(
-                {std::move(name),
-                 [kind, adm](system::SystemConfig &cfg,
-                             workload::WorkloadParams &) {
-                     cfg.iommu.prefetch.kind = kind;
-                     cfg.iommu.specAdmission = adm;
-                 }});
-        }
+        spec.variants.push_back(
+            {std::string("pf-") + pfName(kind) + "/adm-budget",
+             [kind](system::SystemConfig &cfg,
+                    workload::WorkloadParams &) {
+                 cfg.iommu.prefetch.kind = kind;
+                 cfg.iommu.specAdmission = iommu::SpecAdmission::Budget;
+             }});
     }
     const auto result = exp::runSweep(spec, opts.runner);
 
@@ -170,8 +163,8 @@ main(int argc, char **argv)
     }
 
     // Admission axis: same improvement metric, SIMT-aware scheduler,
-    // idle (direct start on an idle walker) vs the two buffered
-    // speculative-class policies.
+    // idle (direct start on an idle walker) vs budget (buffered in the
+    // speculative class).
     auto &adm_cells = report.addTable(
         {"prefetch", "admission", "improvement", "coverage",
          "pollution"},
@@ -179,7 +172,7 @@ main(int argc, char **argv)
     for (const auto kind :
          {iommu::PrefetchKind::NextPage, iommu::PrefetchKind::Spp}) {
         const std::string pf = std::string("pf-") + pfName(kind);
-        for (const char *adm : {"idle", "reserved", "budget"}) {
+        for (const char *adm : {"idle", "budget"}) {
             const std::string variant =
                 std::string(adm) == "idle" ? pf + "/aging-on"
                                            : pf + "/adm-" + adm;
@@ -219,10 +212,9 @@ main(int argc, char **argv)
         "the cost side:\nunder idle admission speculative walks burn "
         "only idle walkers, so pollution is the one way a\npolicy can "
         "hurt. The admission table swaps that gate for the speculative "
-        "walk class: reserved\ndedicates walkers to predictions, "
-        "budget meters them per demand-dispatch window, and aged\n"
-        "entries are cancelled before dispatch instead of occupying a "
-        "walker.");
+        "walk class: budget\nmeters predictions per demand-dispatch "
+        "window, and aged entries are cancelled before\ndispatch "
+        "instead of occupying a walker.");
     report.render(std::cout);
     if (!opts.jsonPath.empty())
         report.writeJsonFile(opts.jsonPath, &result);

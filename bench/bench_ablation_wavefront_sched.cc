@@ -57,10 +57,10 @@ main(int argc, char **argv)
                      // Wasp runs at the config default (idle
                      // admission): leader walks ride the speculative
                      // class on idle walk bandwidth and age-promote
-                     // into the demand class. Reserved admission was
-                     // measured and rejected for this headline —
-                     // setting walkers aside starves demand at 8
-                     // walkers (irregular geomean 0.95 vs 1.02; see
+                     // into the demand class. Setting walkers aside
+                     // for speculation (the retired reserved
+                     // admission) starved demand at 8 walkers
+                     // (irregular geomean 0.95 vs 1.02; see
                      // EXPERIMENTS.md). The admission axis itself is
                      // swept in bench_ablation_prefetch.
                  }});

@@ -120,12 +120,12 @@ class WalkBuffer
     /**
      * @name Speculative class
      *
-     * Low-priority walks — Wasp leader lookahead and (under the
-     * reserved/budget admission policies) prefetcher predictions —
-     * wait in a FIFO sidecar of the buffer, invisible to every
-     * scheduler query above: selectNext() and the scan schedulers
-     * only ever see demand entries, so "scheduled only when no demand
-     * walk is eligible" holds by construction. The class has its own
+     * Low-priority walks — Wasp leader lookahead and (under budget
+     * admission) prefetcher predictions — wait in a FIFO sidecar of
+     * the buffer, invisible to every scheduler query above:
+     * selectNext() and the scan schedulers only ever see demand
+     * entries, so "scheduled only when no demand walk is eligible"
+     * holds by construction. The class has its own
      * capacity_ worth of slots, so speculation can never crowd demand
      * out of the buffer. Both dispatch and promotion (demotion back
      * to demand priority for a leader walk an instruction is blocked

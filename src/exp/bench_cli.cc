@@ -74,8 +74,7 @@ printHelp(const std::string &id, const std::string &description)
               << "               (default 2048; implies --wasp)\n"
               << "  --spec-admission P  speculative-walk admission: "
                  "idle (default) |\n"
-              << "               reserved (dedicated walkers) | budget "
-                 "(tokens per window)\n"
+              << "               budget (tokens per window)\n"
               << "  --help       this text\n";
     std::exit(0);
 }

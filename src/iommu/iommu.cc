@@ -1,7 +1,5 @@
 #include "iommu/iommu.hh"
 
-#include <algorithm>
-
 #include "core/srpt_scheduler.hh"
 #include "sim/audit.hh"
 #include "sim/debug.hh"
@@ -20,8 +18,8 @@ Iommu::Iommu(sim::EventQueue &eq, const IommuConfig &cfg,
                             cfg.l1TlbEntries}),
       l2Tlb_(tlb::TlbConfig{"iommu_l2tlb", cfg.l2TlbEntries,
                             cfg.l2TlbAssociativity}),
-      pwc_(cfg.pwc, page_table_root), pageTableRoot_(page_table_root),
-      buffer_(cfg.bufferEntries), statGroup_("iommu")
+      pwc_(cfg.pwc, page_table_root), buffer_(cfg.bufferEntries),
+      statGroup_("iommu")
 {
     GPUWALK_ASSERT(scheduler_ != nullptr, "IOMMU needs a scheduler");
     GPUWALK_ASSERT(cfg_.numWalkers > 0, "IOMMU needs walkers");
@@ -170,11 +168,10 @@ Iommu::registerInvariants(sim::Auditor &auditor)
     auditor.registerInvariant(
         "iommu.buffer_drained", [this](sim::AuditContext &ctx) {
             if (!ctx.final()) {
-                // The buffer holds work only while every walker the
-                // demand class may use is busy (the class invariant
-                // immediate dispatch relies on).
+                // The buffer holds work only while every walker is
+                // busy (the invariant immediate dispatch relies on).
                 if (!buffer_.empty() || !overflow_.empty()) {
-                    ctx.require(idleDemandWalker() == nullptr,
+                    ctx.require(idleWalker() == nullptr,
                                 buffer_.size() + overflow_.size(),
                                 " pending walks while a walker idles");
                 }
@@ -384,16 +381,7 @@ Iommu::lookupTlbs(tlb::TranslationRequest r)
                 pit != prefetchedUntouched_.end()) {
                 prefetchedUntouched_.erase(pit);
                 ++prefetchUseful_;
-                if (tracer_) {
-                    trace::Event ev;
-                    ev.tick = eq_.now();
-                    ev.kind = trace::EventKind::PrefetchUseful;
-                    ev.ctx = r.ctx;
-                    ev.wavefront = r.wavefront;
-                    ev.instruction = r.instruction;
-                    ev.vaPage = r.vaPage;
-                    tracer_->record(ev);
-                }
+                traceWalk(trace::EventKind::PrefetchUseful, r);
             }
             // A hit is still a demand touch: without this the stream
             // starves as soon as the prefetcher starts covering it.
@@ -445,17 +433,7 @@ Iommu::enqueueWalk(tlb::TranslationRequest req)
     if (gmmu_)
         gmmu_->pin(walk.request.ctx, walk.request.vaPage);
 
-    if (tracer_) {
-        trace::Event ev;
-        ev.tick = eq_.now();
-        ev.kind = trace::EventKind::Enqueued;
-        ev.ctx = walk.request.ctx;
-        ev.wavefront = walk.request.wavefront;
-        ev.instruction = walk.request.instruction;
-        ev.vaPage = walk.request.vaPage;
-        ev.arg0 = buffer_.size();
-        tracer_->record(ev);
-    }
+    traceWalk(trace::EventKind::Enqueued, walk.request, buffer_.size());
 
     // Leader-originated walks (Wasp) join the speculative class: they
     // warm the TLBs ahead of the follower pack and must never delay a
@@ -470,17 +448,27 @@ Iommu::enqueueWalk(tlb::TranslationRequest req)
         }
     }
 
-    // An idle demand-eligible walker implies the buffer and overflow
-    // FIFO are empty (dispatch drains the buffer whenever a walker
-    // frees up), so the new request starts immediately and the
-    // scheduler plays no role.
-    if (PageTableWalker *w = idleDemandWalker()) {
+    admitDemand(std::move(walk));
+}
+
+void
+Iommu::admitDemand(core::PendingWalk walk)
+{
+    // An idle walker implies the buffer and overflow FIFO are empty
+    // (dispatch drains the buffer whenever a walker frees up), so the
+    // walk starts immediately and the scheduler plays no role.
+    if (PageTableWalker *w = idleWalker()) {
         GPUWALK_ASSERT(buffer_.empty() && overflow_.empty(),
                        "idle walker with pending requests");
         dispatchTo(*w, std::move(walk), core::PickReason::Immediate);
         return;
     }
+    queueDemand(std::move(walk));
+}
 
+void
+Iommu::queueDemand(core::PendingWalk walk)
+{
     if (buffer_.full()) {
         ++overflowed_;
         sim::debug::log("sched", eq_.now(), "overflow va=", std::hex,
@@ -497,18 +485,9 @@ void
 Iommu::admitSpeculative(core::PendingWalk walk)
 {
     ++specAdmitted_;
-    if (tracer_) {
-        trace::Event ev;
-        ev.tick = eq_.now();
-        ev.kind = trace::EventKind::SpecAdmitted;
-        ev.ctx = walk.request.ctx;
-        ev.wavefront = walk.request.wavefront;
-        ev.instruction = walk.request.instruction;
-        ev.vaPage = walk.request.vaPage;
-        ev.arg0 = static_cast<std::uint64_t>(cfg_.specAdmission);
-        ev.arg1 = buffer_.specCount() + 1;
-        tracer_->record(ev);
-    }
+    traceWalk(trace::EventKind::SpecAdmitted, walk.request,
+              static_cast<std::uint64_t>(cfg_.specAdmission),
+              buffer_.specCount() + 1);
     buffer_.specPush(std::move(walk));
 }
 
@@ -527,19 +506,8 @@ Iommu::admitToBuffer(core::PendingWalk walk)
             buffer_.instructionScore(walk.request.instruction) + estimate;
         buffer_.rescoreInstruction(walk.request.instruction, new_score);
         walk.score = new_score;
-
-        if (tracer_) {
-            trace::Event ev;
-            ev.tick = eq_.now();
-            ev.kind = trace::EventKind::Scored;
-            ev.ctx = walk.request.ctx;
-            ev.wavefront = walk.request.wavefront;
-            ev.instruction = walk.request.instruction;
-            ev.vaPage = walk.request.vaPage;
-            ev.arg0 = estimate;
-            ev.arg1 = new_score;
-            tracer_->record(ev);
-        }
+        traceWalk(trace::EventKind::Scored, walk.request, estimate,
+                  new_score);
     }
     buffer_.insert(std::move(walk));
 }
@@ -554,47 +522,29 @@ Iommu::idleWalker()
     return nullptr;
 }
 
-unsigned
-Iommu::demandWalkerLimit() const
-{
-    if (cfg_.specAdmission != SpecAdmission::Reserved)
-        return cfg_.numWalkers;
-    // Clamp so at least one walker always serves demand.
-    const unsigned reserved =
-        std::min(cfg_.specReservedWalkers, cfg_.numWalkers - 1);
-    return cfg_.numWalkers - reserved;
-}
-
-PageTableWalker *
-Iommu::idleDemandWalker()
-{
-    const unsigned limit = demandWalkerLimit();
-    for (unsigned i = 0; i < limit; ++i) {
-        if (!walkers_[i]->busy())
-            return walkers_[i].get();
-    }
-    return nullptr;
-}
-
 PageTableWalker *
 Iommu::idleSpecWalker()
 {
-    // Reserved walkers first: keep the demand-eligible ones free for
-    // the next demand arrival when there is a choice.
-    const unsigned limit = demandWalkerLimit();
-    for (unsigned i = limit; i < cfg_.numWalkers; ++i) {
-        if (!walkers_[i]->busy())
-            return walkers_[i].get();
-    }
-    // Non-reserved walkers carry speculation only while no demand
-    // walk is waiting for one: speculation never delays demand.
+    // Speculation never delays demand: it may take a walker only
+    // while no demand walk is waiting for one.
     if (!buffer_.empty() || !overflow_.empty())
         return nullptr;
-    for (unsigned i = 0; i < limit; ++i) {
-        if (!walkers_[i]->busy())
-            return walkers_[i].get();
-    }
-    return nullptr;
+    return idleWalker();
+}
+
+bool
+Iommu::tlbsHold(ContextId ctx, mem::Addr va_page)
+{
+    return l1Tlb_.probe(va_page, ctx) || l2Tlb_.probe(va_page, ctx);
+}
+
+void
+Iommu::dropStalePrefetch(const core::PendingWalk &walk)
+{
+    ++specDroppedStale_;
+    releaseInflight(walk.request.ctx, walk.request.vaPage);
+    if (gmmu_)
+        gmmu_->unpin(walk.request.ctx, walk.request.vaPage);
 }
 
 void
@@ -607,10 +557,7 @@ Iommu::promoteAgedSpec()
         if (walk.isPrefetch) {
             // A prediction nobody had bandwidth for this long is
             // stale: cancel it rather than spend a walker on it.
-            ++specDroppedStale_;
-            releaseInflight(walk.request.ctx, walk.request.vaPage);
-            if (gmmu_)
-                gmmu_->unpin(walk.request.ctx, walk.request.vaPage);
+            dropStalePrefetch(walk);
             continue;
         }
         // An aged leader walk is a real request going hungry: promote
@@ -619,12 +566,7 @@ Iommu::promoteAgedSpec()
         // queue-wait accounting sees the full wait.
         ++specPromoted_;
         walk.seq = nextSeq_++;
-        if (buffer_.full()) {
-            ++overflowed_;
-            overflow_.push_back(std::move(walk));
-        } else {
-            admitToBuffer(std::move(walk));
-        }
+        queueDemand(std::move(walk));
     }
 }
 
@@ -634,7 +576,7 @@ Iommu::dispatchIfPossible()
     promoteAgedSpec();
 
     while (!buffer_.empty()) {
-        PageTableWalker *w = idleDemandWalker();
+        PageTableWalker *w = idleWalker();
         if (!w)
             break;
         const std::size_t idx = scheduler_->selectNext(buffer_);
@@ -663,40 +605,33 @@ void
 Iommu::dispatchSpec(PageTableWalker &walker)
 {
     core::PendingWalk walk = buffer_.specPop();
-    if (walk.isPrefetch) {
-        // Re-probe at dispatch: a demand walk may have filled this
-        // translation while the prediction waited.
-        if (l1Tlb_.probe(walk.request.vaPage, walk.request.ctx)
-            || l2Tlb_.probe(walk.request.vaPage, walk.request.ctx)) {
-            ++specDroppedStale_;
-            releaseInflight(walk.request.ctx, walk.request.vaPage);
-            if (gmmu_)
-                gmmu_->unpin(walk.request.ctx, walk.request.vaPage);
-            return; // walker stays idle; caller loops
-        }
-        // Counted at dispatch, not admission: only walks that
-        // actually start participate in walk conservation.
-        ++prefetches_;
-        ++specDispatched_;
-        if (tracer_) {
-            trace::Event ev;
-            ev.tick = eq_.now();
-            ev.kind = trace::EventKind::PrefetchIssued;
-            ev.ctx = walk.request.ctx;
-            ev.walker = walker.id();
-            ev.wavefront = walk.request.wavefront;
-            ev.vaPage = walk.request.vaPage;
-            ev.arg0 = walk.specConfidencePermille;
-            ev.arg1 = walk.specTriggerPage;
-            tracer_->record(ev);
-        }
-        walker.start(std::move(walk), [this](WalkResult r) {
-            onWalkDone(std::move(r));
-        });
+    // Re-probe a prediction at dispatch: a demand walk may have filled
+    // this translation while it waited. The walker stays idle; the
+    // caller loops.
+    if (walk.isPrefetch
+        && tlbsHold(walk.request.ctx, walk.request.vaPage)) {
+        dropStalePrefetch(walk);
         return;
     }
     ++specDispatched_;
-    dispatchTo(walker, std::move(walk), core::PickReason::Speculative);
+    if (walk.isPrefetch)
+        startPrefetch(walker, std::move(walk));
+    else
+        dispatchTo(walker, std::move(walk), core::PickReason::Speculative);
+}
+
+void
+Iommu::startPrefetch(PageTableWalker &walker, core::PendingWalk walk)
+{
+    // Counted at start, not admission: only walks that actually start
+    // participate in walk conservation. Metrics and the scheduler are
+    // bypassed — the walk has no GPU consumer.
+    ++prefetches_;
+    traceWalk(trace::EventKind::PrefetchIssued, walk.request,
+              walk.specConfidencePermille, walk.specTriggerPage,
+              walker.id());
+    walker.start(std::move(walk),
+                 [this](WalkResult r) { onWalkDone(std::move(r)); });
 }
 
 void
@@ -728,19 +663,8 @@ Iommu::dispatchTo(PageTableWalker &walker, core::PendingWalk walk,
         if (reason != core::PickReason::Immediate)
             ++t.dispatches;
     }
-    if (tracer_) {
-        trace::Event ev;
-        ev.tick = eq_.now();
-        ev.kind = trace::EventKind::Scheduled;
-        ev.ctx = walk.request.ctx;
-        ev.walker = walker.id();
-        ev.wavefront = walk.request.wavefront;
-        ev.instruction = walk.request.instruction;
-        ev.vaPage = walk.request.vaPage;
-        ev.arg0 = static_cast<std::uint64_t>(reason);
-        ev.arg1 = wait;
-        tracer_->record(ev);
-    }
+    traceWalk(trace::EventKind::Scheduled, walk.request,
+              static_cast<std::uint64_t>(reason), wait, walker.id());
     walker.start(std::move(walk),
                  [this](WalkResult result) { onWalkDone(std::move(result)); });
 }
@@ -833,19 +757,10 @@ Iommu::handleFaultedWalk(WalkResult result)
     const auto [it, fresh] = faulted_.try_emplace(key);
     if (fresh) {
         it->second.raised = eq_.now();
-        if (tracer_) {
-            trace::Event ev;
-            ev.tick = eq_.now();
-            ev.kind = trace::EventKind::FaultRaised;
-            ev.level = static_cast<std::uint8_t>(result.faultLevel);
-            ev.ctx = ctx;
-            ev.walker = result.walkerId;
-            ev.wavefront = result.walk.request.wavefront;
-            ev.instruction = result.walk.request.instruction;
-            ev.vaPage = page;
-            ev.arg0 = 1; // walks parked behind the fault so far
-            tracer_->record(ev);
-        }
+        // arg0: walks parked behind the fault so far.
+        traceWalk(trace::EventKind::FaultRaised, result.walk.request, 1, 0,
+                  result.walkerId,
+                  static_cast<std::uint8_t>(result.faultLevel));
         gmmu_->raiseFault(ctx, page);
     } else {
         gmmu_->noteWaiter(ctx, page);
@@ -871,19 +786,8 @@ Iommu::onFaultServiced(ContextId ctx, mem::Addr va_page)
                    "parked-walk counter underflow");
     faultedParked_ -= entry.walks.size();
 
-    if (tracer_) {
-        trace::Event ev;
-        ev.tick = eq_.now();
-        ev.kind = trace::EventKind::FaultServiced;
-        ev.ctx = ctx;
-        ev.walker = trace::noWalker;
-        ev.wavefront = entry.walks.front().request.wavefront;
-        ev.instruction = entry.walks.front().request.instruction;
-        ev.vaPage = va_page;
-        ev.arg0 = entry.walks.size();
-        ev.arg1 = eq_.now() - entry.raised;
-        tracer_->record(ev);
-    }
+    traceWalk(trace::EventKind::FaultServiced, entry.walks.front().request,
+              entry.walks.size(), eq_.now() - entry.raised);
     sim::debug::log("sched", eq_.now(), "fault serviced va=", std::hex,
                     va_page, std::dec, " releasing ",
                     entry.walks.size(), " walks");
@@ -908,18 +812,7 @@ Iommu::reenterWalk(core::PendingWalk walk)
     // Faulted leader walks re-enter as demand: after a far-fault
     // round trip the lookahead advantage is gone, and the page is
     // resident now, so the walk should complete at demand priority.
-    if (PageTableWalker *w = idleDemandWalker()) {
-        GPUWALK_ASSERT(buffer_.empty() && overflow_.empty(),
-                       "idle walker with pending requests");
-        dispatchTo(*w, std::move(walk), core::PickReason::Immediate);
-        return;
-    }
-    if (buffer_.full()) {
-        ++overflowed_;
-        overflow_.push_back(std::move(walk));
-        return;
-    }
-    admitToBuffer(std::move(walk));
+    admitDemand(std::move(walk));
 }
 
 void
@@ -936,111 +829,95 @@ Iommu::maybePrefetch(mem::Addr touched_va_page, ContextId ctx,
     prefetcher_->onDemandTouch(ctx, wavefront, touched_va_page,
                                candidates_, leader);
 
-    if (cfg_.specAdmission != SpecAdmission::Idle) {
-        // Reserved/budget admission: predictions buffer into the
-        // speculative class and dispatch under its walker-eligibility
-        // rules rather than demanding an idle walker this instant.
-        bool admitted = false;
-        for (const PrefetchCandidate &cand : candidates_) {
-            if (buffer_.specFull())
-                break;
-            if (cfg_.specAdmission == SpecAdmission::Budget
-                && specTokens_ == 0)
-                break;
-            const mem::Addr page = cand.vaPage;
-            if (l1Tlb_.probe(page, ctx) || l2Tlb_.probe(page, ctx))
-                continue;
-            if (inflight_.contains(mem::pageCtxKey(ctx, page)))
-                continue;
-            if (gmmu_ && !gmmu_->isResident(ctx, page))
-                continue;
-            if (!vm::translateFrom(store_, pwc_.rootOf(ctx), page))
-                continue;
-
-            if (cfg_.specAdmission == SpecAdmission::Budget)
-                --specTokens_;
-            noteInflight(ctx, page);
-            core::PendingWalk walk;
-            walk.request.vaPage = page;
-            walk.request.instruction = 0; // reserved prefetch tag
-            walk.request.wavefront = wavefront;
-            walk.request.ctx = ctx;
-            walk.arrival = eq_.now();
-            walk.seq = nextSeq_++;
-            walk.isPrefetch = true;
-            walk.specConfidencePermille =
-                static_cast<std::uint32_t>(cand.confidence * 1000.0);
-            walk.specTriggerPage = touched_va_page;
-            // Pinned from admission so the resident check above stays
-            // valid until the walk completes or the entry is dropped.
-            if (gmmu_)
-                gmmu_->pin(ctx, page);
+    // Idle admission starts each prediction straight on an idle walker
+    // while nothing demands service (checked per candidate: issuing one
+    // occupies a walker). Budget admission buffers predictions into the
+    // speculative class, one token each, to dispatch under its
+    // walker-eligibility rules.
+    const bool idle = cfg_.specAdmission == SpecAdmission::Idle;
+    bool admitted = false;
+    for (const PrefetchCandidate &cand : candidates_) {
+        PageTableWalker *w = idle ? idleSpecWalker() : nullptr;
+        const bool open = idle ? w != nullptr
+                               : !buffer_.specFull() && specTokens_ > 0;
+        if (!open)
+            break;
+        if (!worthPrefetching(ctx, cand.vaPage))
+            continue;
+        core::PendingWalk walk =
+            makePrefetchWalk(ctx, wavefront, cand, touched_va_page);
+        if (w) {
+            startPrefetch(*w, std::move(walk));
+        } else {
+            --specTokens_;
             admitSpeculative(std::move(walk));
             admitted = true;
         }
-        if (admitted)
-            dispatchIfPossible();
+    }
+    if (admitted)
+        dispatchIfPossible();
+}
+
+bool
+Iommu::worthPrefetching(ContextId ctx, mem::Addr page)
+{
+    // Already translated, or a walk (demand or speculative) for this
+    // very translation is buffered, walking or parked: a second
+    // concurrent walk would be pure waste.
+    if (tlbsHold(ctx, page) || inflight_.contains(mem::pageCtxKey(ctx, page)))
+        return false;
+    // Functional presence check against the tenant's own page table:
+    // never walk into an unmapped page. Under demand paging the page
+    // must additionally be resident — a prefetch must never raise a
+    // far fault.
+    if (gmmu_ && !gmmu_->isResident(ctx, page))
+        return false;
+    return vm::translateFrom(store_, pwc_.rootOf(ctx), page).has_value();
+}
+
+core::PendingWalk
+Iommu::makePrefetchWalk(ContextId ctx, std::uint32_t wavefront,
+                        const PrefetchCandidate &cand,
+                        mem::Addr trigger_va_page)
+{
+    noteInflight(ctx, cand.vaPage);
+    core::PendingWalk walk;
+    walk.request.vaPage = cand.vaPage;
+    walk.request.instruction = 0; // reserved prefetch tag
+    walk.request.wavefront = wavefront;
+    walk.request.ctx = ctx;
+    walk.arrival = eq_.now();
+    walk.seq = nextSeq_++;
+    walk.isPrefetch = true;
+    walk.specConfidencePermille =
+        static_cast<std::uint32_t>(cand.confidence * 1000.0);
+    walk.specTriggerPage = trigger_va_page;
+    // Pinned from here until the walk completes or is dropped, so the
+    // residency check in worthPrefetching() stays valid.
+    if (gmmu_)
+        gmmu_->pin(ctx, cand.vaPage);
+    return walk;
+}
+
+void
+Iommu::traceWalk(trace::EventKind kind, const tlb::TranslationRequest &req,
+                 std::uint64_t arg0, std::uint64_t arg1,
+                 std::uint32_t walker, std::uint8_t level)
+{
+    if (!tracer_)
         return;
-    }
-
-    for (const PrefetchCandidate &cand : candidates_) {
-        // Strictly idle-bandwidth: only when nothing demands service.
-        // Checked per candidate — issuing one occupies a walker.
-        if (!buffer_.empty() || !overflow_.empty())
-            return;
-        PageTableWalker *w = idleWalker();
-        if (!w)
-            return;
-
-        const mem::Addr page = cand.vaPage;
-        if (l1Tlb_.probe(page, ctx) || l2Tlb_.probe(page, ctx))
-            continue;
-        // In-flight dedup: a walk (demand or speculative) for this
-        // very translation is already buffered, walking, or parked —
-        // a second concurrent walk would be pure waste.
-        if (inflight_.contains(mem::pageCtxKey(ctx, page)))
-            continue;
-        // Functional presence check against the tenant's own page
-        // table: never walk into an unmapped page. Under demand
-        // paging the page must additionally be resident — a prefetch
-        // must never raise a far fault.
-        if (gmmu_ && !gmmu_->isResident(ctx, page))
-            continue;
-        if (!vm::translateFrom(store_, pwc_.rootOf(ctx), page))
-            continue;
-
-        ++prefetches_;
-        noteInflight(ctx, page);
-        core::PendingWalk walk;
-        walk.request.vaPage = page;
-        walk.request.instruction = 0; // reserved prefetch tag
-        walk.request.wavefront = wavefront;
-        walk.request.ctx = ctx;
-        walk.arrival = eq_.now();
-        walk.seq = nextSeq_++;
-        walk.isPrefetch = true;
-        // The pin taken here (released at completion) keeps the
-        // resident check valid for the walk's whole duration.
-        if (gmmu_)
-            gmmu_->pin(ctx, page);
-        if (tracer_) {
-            trace::Event ev;
-            ev.tick = eq_.now();
-            ev.kind = trace::EventKind::PrefetchIssued;
-            ev.ctx = ctx;
-            ev.walker = w->id();
-            ev.wavefront = wavefront;
-            ev.vaPage = page;
-            ev.arg0 = static_cast<std::uint64_t>(
-                cand.confidence * 1000.0);
-            ev.arg1 = touched_va_page;
-            tracer_->record(ev);
-        }
-        // Bypass metrics/scheduler: the walker is idle by
-        // construction.
-        w->start(std::move(walk),
-                 [this](WalkResult r) { onWalkDone(std::move(r)); });
-    }
+    trace::Event ev;
+    ev.tick = eq_.now();
+    ev.kind = kind;
+    ev.level = level;
+    ev.ctx = req.ctx;
+    ev.walker = walker;
+    ev.wavefront = req.wavefront;
+    ev.instruction = req.instruction;
+    ev.vaPage = req.vaPage;
+    ev.arg0 = arg0;
+    ev.arg1 = arg1;
+    tracer_->record(ev);
 }
 
 const char *
@@ -1049,8 +926,6 @@ toString(SpecAdmission a)
     switch (a) {
       case SpecAdmission::Idle:
         return "idle";
-      case SpecAdmission::Reserved:
-        return "reserved";
       case SpecAdmission::Budget:
         return "budget";
     }
@@ -1062,12 +937,10 @@ specAdmissionFromString(const std::string &name)
 {
     if (name == "idle")
         return SpecAdmission::Idle;
-    if (name == "reserved")
-        return SpecAdmission::Reserved;
     if (name == "budget")
         return SpecAdmission::Budget;
     sim::fatal("unknown spec admission '", name,
-               "' (expected idle|reserved|budget)");
+               "' (expected idle|budget)");
 }
 
 void

@@ -67,28 +67,21 @@ enum class SpecAdmission : std::uint8_t
      * still buffer in the speculative class (they cannot be dropped)
      * and dispatch whenever no demand walk is eligible.
      */
-    Idle,
-
-    /**
-     * The last specReservedWalkers walkers are reserved for
-     * speculation: demand walks never dispatch onto them, so the
-     * speculative class always owns that much walk bandwidth, and
-     * predictions are buffered rather than dropped when the path is
-     * busy.
-     */
-    Reserved,
+    Idle = 0,
 
     /**
      * Token budget: up to specBudgetTokens speculative admissions per
      * window of specBudgetWindow demand dispatches. Predictions are
      * buffered in the speculative class and dispatch only when no
      * demand walk is eligible (like Idle), but admission no longer
-     * requires the whole path to be idle.
+     * requires the whole path to be idle. The value is recorded in
+     * SpecAdmitted trace events, so it stays 2 (1 was the retired
+     * reserved-walkers policy) to keep trace digests stable.
      */
-    Budget,
+    Budget = 2,
 };
 
-/** Short lowercase name of @p a ("idle", "reserved", "budget"). */
+/** Short lowercase name of @p a ("idle", "budget"). */
 const char *toString(SpecAdmission a);
 
 /** Parses a --spec-admission value; fatal on unknown names. */
@@ -126,28 +119,19 @@ struct IommuConfig
     PwcConfig pwc;
 
     /**
-     * Route walker PTE fetches through a CPU-complex cache before
-     * DRAM (as gem5's walker does). Page-table lines are hot — one
-     * leaf PT page maps 2 MB — so this cache is what keeps walk
-     * service latency in the tens-of-cycles range the paper's
-     * latency figures imply.
-     */
-    /**
      * Translation prefetching (an extension beyond the paper, in the
      * spirit of its related-work TLB prefetchers [44]): after a
      * demand touch of page P, the configured policy (next-page or
-     * SPP signature-path) proposes pages to walk speculatively into
-     * idle walkers, filling the IOMMU TLBs. Strictly idle-bandwidth,
-     * so demand traffic is never delayed.
+     * SPP signature-path) proposes pages to walk speculatively,
+     * filling the IOMMU TLBs. How predictions reach a walker is
+     * specAdmission's call; under the default idle admission they
+     * take only idle walk bandwidth, so demand traffic is never
+     * delayed.
      */
     PrefetchConfig prefetch;
 
     /** Speculative-walk admission policy (leader walks, prefetch). */
     SpecAdmission specAdmission = SpecAdmission::Idle;
-
-    /** Reserved policy: walkers set aside for the speculative class
-     *  (clamped so at least one walker always serves demand). */
-    unsigned specReservedWalkers = 2;
 
     /** Budget policy: speculative admissions allowed per window. */
     unsigned specBudgetTokens = 4;
@@ -165,6 +149,13 @@ struct IommuConfig
      */
     sim::Tick specPromoteThreshold = 400 * 500;
 
+    /**
+     * Route walker PTE fetches through a CPU-complex cache before
+     * DRAM (as gem5's walker does). Page-table lines are hot — one
+     * leaf PT page maps 2 MB — so this cache is what keeps walk
+     * service latency in the tens-of-cycles range the paper's
+     * latency figures imply.
+     */
     bool useWalkCache = true;
     mem::CacheConfig walkCache{"ptwcache", 1024 * 1024, 16,
                                mem::cacheLineSize, 40 * 500, 2 * 500,
@@ -375,8 +366,32 @@ class Iommu : public tlb::TranslationService
     void respond(tlb::TranslationRequest req, mem::Addr pa_page,
                  bool large_page, sim::Tick delay);
     void enqueueWalk(tlb::TranslationRequest req);
+    /** Starts demand walk @p walk on an idle walker, else queues it. */
+    void admitDemand(core::PendingWalk walk);
+    /** Buffers demand walk @p walk, or overflows it when full. */
+    void queueDemand(core::PendingWalk walk);
     void maybePrefetch(mem::Addr touched_va_page, ContextId ctx,
                        std::uint32_t wavefront, bool leader);
+    /** The speculation gate: @p page is in neither IOMMU TLB, has no
+     *  walk in flight, and is mapped (and resident, when paging). */
+    bool worthPrefetching(ContextId ctx, mem::Addr page);
+    /** The prediction walk for @p cand, counted in flight and pinned
+     *  until it completes or is dropped. */
+    core::PendingWalk makePrefetchWalk(ContextId ctx,
+                                       std::uint32_t wavefront,
+                                       const PrefetchCandidate &cand,
+                                       mem::Addr trigger_va_page);
+    void startPrefetch(PageTableWalker &walker, core::PendingWalk walk);
+    /** Cancels an unissued prediction: releases its in-flight count
+     *  and its pin. */
+    void dropStalePrefetch(const core::PendingWalk &walk);
+    bool tlbsHold(ContextId ctx, mem::Addr va_page);
+    /** Records a @p kind event about @p req (no-op when untraced). */
+    void traceWalk(trace::EventKind kind,
+                   const tlb::TranslationRequest &req,
+                   std::uint64_t arg0 = 0, std::uint64_t arg1 = 0,
+                   std::uint32_t walker = trace::noWalker,
+                   std::uint8_t level = 0);
     void noteInflight(ContextId ctx, mem::Addr va_page);
     void releaseInflight(ContextId ctx, mem::Addr va_page);
     TenantCounters &tenantSlot(ContextId ctx);
@@ -393,17 +408,8 @@ class Iommu : public tlb::TranslationService
     void reenterWalk(core::PendingWalk walk);
     PageTableWalker *idleWalker();
 
-    /** Walkers the demand class may dispatch onto: [0, this). */
-    unsigned demandWalkerLimit() const;
-
-    /** First idle walker the demand class may use, or nullptr. */
-    PageTableWalker *idleDemandWalker();
-
-    /**
-     * First idle walker the speculative class may use right now, or
-     * nullptr: reserved walkers always qualify; the others only while
-     * no demand walk is waiting (speculation never delays demand).
-     */
+    /** First idle walker, or nullptr while any demand walk waits
+     *  (speculation never delays demand). */
     PageTableWalker *idleSpecWalker();
 
     sim::EventQueue &eq_;
@@ -416,7 +422,6 @@ class Iommu : public tlb::TranslationService
     tlb::SetAssocTlb l1Tlb_;
     tlb::SetAssocTlb l2Tlb_;
     PageWalkCache pwc_;
-    mem::Addr pageTableRoot_ = 0;
     core::WalkBuffer buffer_;
     std::deque<core::PendingWalk> overflow_;
 

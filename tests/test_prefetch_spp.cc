@@ -186,7 +186,8 @@ struct DedupFixture : public ::testing::Test
     vm::VaRegion region;
 
     void
-    build(iommu::PrefetchKind kind, unsigned walkers)
+    build(iommu::PrefetchKind kind, unsigned walkers,
+          iommu::SpecAdmission admission = iommu::SpecAdmission::Idle)
     {
         as = std::make_unique<vm::AddressSpace>(store, frames);
         region = as->allocate("data", 1024 * 1024);
@@ -195,6 +196,7 @@ struct DedupFixture : public ::testing::Test
         iommu::IommuConfig cfg;
         cfg.prefetch.kind = kind;
         cfg.numWalkers = walkers;
+        cfg.specAdmission = admission;
         iommu = std::make_unique<iommu::Iommu>(
             eq, cfg, core::makeScheduler(core::SchedulerKind::Fcfs),
             *dram, store, as->pageTable().root());
@@ -212,9 +214,23 @@ struct DedupFixture : public ::testing::Test
     }
 };
 
-TEST_F(DedupFixture, PrefetchSkipsPagesAlreadyWalking)
+/** The dedup filter is part of the speculation gate both admission
+ *  policies share: run it under each. */
+struct DedupGateFixture
+    : DedupFixture,
+      ::testing::WithParamInterface<iommu::SpecAdmission>
 {
-    build(iommu::PrefetchKind::NextPage, /*walkers=*/2);
+};
+
+INSTANTIATE_TEST_SUITE_P(
+    Admission, DedupGateFixture,
+    ::testing::Values(iommu::SpecAdmission::Idle,
+                      iommu::SpecAdmission::Budget),
+    [](const auto &info) { return iommu::toString(info.param); });
+
+TEST_P(DedupGateFixture, PrefetchSkipsPagesAlreadyWalking)
+{
+    build(iommu::PrefetchKind::NextPage, /*walkers=*/2, GetParam());
     const Addr base = region.base;
 
     // Both demand walks are in flight together: base on walker 0,

@@ -1,6 +1,8 @@
 /**
  * @file
- * Tests for the IOMMU's idle-bandwidth next-page prefetcher.
+ * Tests for the IOMMU's next-page prefetcher. The speculation-gate
+ * tests run under both admission policies, since idle and budget
+ * admission share one gate.
  */
 
 #include <gtest/gtest.h>
@@ -26,7 +28,8 @@ struct PrefetchFixture : public ::testing::Test
     vm::VaRegion region;
 
     void
-    build(bool prefetch)
+    build(bool prefetch,
+          iommu::SpecAdmission admission = iommu::SpecAdmission::Idle)
     {
         as = std::make_unique<vm::AddressSpace>(store, frames);
         region = as->allocate("data", 1024 * 1024);
@@ -35,6 +38,7 @@ struct PrefetchFixture : public ::testing::Test
         iommu::IommuConfig cfg;
         cfg.prefetch.kind = prefetch ? iommu::PrefetchKind::NextPage
                                      : iommu::PrefetchKind::Off;
+        cfg.specAdmission = admission;
         iommu = std::make_unique<iommu::Iommu>(
             eq, cfg, core::makeScheduler(core::SchedulerKind::Fcfs),
             *dram, store, as->pageTable().root());
@@ -84,18 +88,31 @@ TEST_F(PrefetchFixture, DisabledByDefault)
     EXPECT_EQ(iommu->walkRequests(), walks_before + 1);
 }
 
-TEST_F(PrefetchFixture, NeverWalksPastTheMappedRegion)
+/** Gate tests, run once per admission policy. */
+struct PrefetchGateFixture
+    : PrefetchFixture,
+      ::testing::WithParamInterface<iommu::SpecAdmission>
 {
-    build(/*prefetch=*/true);
+};
+
+INSTANTIATE_TEST_SUITE_P(
+    Admission, PrefetchGateFixture,
+    ::testing::Values(iommu::SpecAdmission::Idle,
+                      iommu::SpecAdmission::Budget),
+    [](const auto &info) { return iommu::toString(info.param); });
+
+TEST_P(PrefetchGateFixture, NeverWalksPastTheMappedRegion)
+{
+    build(/*prefetch=*/true, GetParam());
     // The last page's successor is the unmapped guard page: the
     // prefetcher must skip it rather than panic in the walker.
     translate(region.end() - mem::pageSize);
     EXPECT_EQ(iommu->prefetches(), 0u);
 }
 
-TEST_F(PrefetchFixture, AlreadyCachedNextPageIsNotPrefetched)
+TEST_P(PrefetchGateFixture, AlreadyCachedNextPageIsNotPrefetched)
 {
-    build(/*prefetch=*/true);
+    build(/*prefetch=*/true, GetParam());
     translate(region.base);              // prefetches base+1
     const auto count = iommu->prefetches();
     // Walk base+2 directly; its successor base+3 gets prefetched, but

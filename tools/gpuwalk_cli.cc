@@ -173,8 +173,7 @@ Hardware overrides (baseline = the paper's Table I):
   --wasp-distance=N       wasp: followers' first-issue delay, cycles
                                               (default: 2048)
   --spec-admission=P      speculative-walk admission: idle (default)
-                          | reserved (dedicated walkers) | budget
-                          (tokens per demand-dispatch window)
+                          | budget (tokens per demand-dispatch window)
   --virtual-l1            virtually-addressed L1 data caches
                           (translate on L1 miss, Yoon et al.)
 
