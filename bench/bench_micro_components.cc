@@ -12,6 +12,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -20,7 +21,9 @@
 #include "core/simt_aware_scheduler.hh"
 #include "core/srpt_scheduler.hh"
 #include "iommu/page_walk_cache.hh"
+#include "mem/cache.hh"
 #include "mem/dram.hh"
+#include "mem/dram_controller.hh"
 #include "vm/page_table.hh"
 #include "sim/event_queue.hh"
 #include "sim/flat_map.hh"
@@ -181,6 +184,124 @@ BM_DramDecode(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_DramDecode);
+
+/** Completes every access after a fixed delay (a memory below the
+ *  cache that models nothing). */
+class FixedLatencyMemory final : public mem::MemoryDevice
+{
+  public:
+    explicit FixedLatencyMemory(sim::EventQueue &eq) : eq_(eq) {}
+
+    void
+    access(mem::MemoryRequest req) override
+    {
+        eq_.scheduleIn(100 * 500, [r = std::move(req)]() mutable {
+            r.complete();
+        });
+    }
+
+  private:
+    sim::EventQueue &eq_;
+};
+
+/**
+ * One streaming miss through the Table I L2 data cache (4 MB, 16-way):
+ * tag check, MSHR allocation, fill, LRU victim scan, install and the
+ * waiter's completion, events included. The cache is pre-filled so
+ * every measured miss also evicts. The CI perf-smoke gate reads it.
+ */
+void
+BM_CacheAccessMiss(benchmark::State &state)
+{
+    sim::EventQueue eq;
+    FixedLatencyMemory below(eq);
+    const mem::CacheConfig cfg{"l2d", 4 * 1024 * 1024, 16,
+                               mem::cacheLineSize, 16 * 500, 4 * 500};
+    mem::Cache cache(eq, cfg, below);
+    mem::Addr addr = 0;
+    const auto access = [&] {
+        mem::MemoryRequest req;
+        req.addr = addr;
+        addr += mem::cacheLineSize;
+        cache.access(std::move(req));
+        eq.run();
+    };
+    for (mem::Addr i = 0; i < cfg.sizeBytes / mem::cacheLineSize; ++i)
+        access();
+    for (auto _ : state)
+        access();
+    benchmark::DoNotOptimize(cache.evictions());
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_CacheAccessMiss);
+
+/**
+ * FR-FCFS scheduling at a steady queue depth of 16 requests per
+ * channel: each completion enqueues a replacement, so every arrival
+ * and every drain scans a 16-deep queue. Addresses cycle over a few
+ * rows of a few banks, mixing row hits and conflicts. One iteration is
+ * one completed request. The CI perf-smoke gate reads it.
+ */
+void
+BM_DramScheduleQ16(benchmark::State &state)
+{
+    sim::EventQueue eq;
+    const mem::DramConfig cfg;
+    mem::DramController dram(eq, cfg);
+    std::uint64_t lcg = 1;
+    std::uint64_t completed = 0;
+    const unsigned banks = cfg.ranksPerChannel * cfg.banksPerRank;
+    std::function<void(unsigned)> issue = [&](unsigned chan) {
+        lcg = lcg * 6364136223846793005ull + 1442695040888963407ull;
+        // Line bits: channel | bank | rank | column | row.
+        const mem::Addr line = ((lcg >> 33) % (banks * 4)) * cfg.channels
+                               + chan;
+        const mem::Addr row = (lcg >> 20) % 4;
+        mem::MemoryRequest req;
+        req.addr = line * mem::cacheLineSize
+                   + row * cfg.rowBytes * cfg.totalBanks();
+        req.onComplete = [&, chan] {
+            ++completed;
+            issue(chan);
+        };
+        dram.access(std::move(req));
+    };
+    for (unsigned chan = 0; chan < cfg.channels; ++chan) {
+        for (unsigned i = 0; i < 16; ++i)
+            issue(chan);
+    }
+    for (auto _ : state) {
+        const std::uint64_t target = completed + 1;
+        while (completed < target)
+            eq.runOne();
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_DramScheduleQ16);
+
+/**
+ * Dispatch with one pending event re-armed far ahead inside the bucket
+ * window — 40,000 ticks (80 GPU cycles), the distance of a DRAM
+ * completion behind a queue — so each next-tick search crosses ~600
+ * empty occupancy words. The CI perf-smoke gate reads it.
+ */
+void
+BM_EventQueueSparse(benchmark::State &state)
+{
+    struct Rearm final : sim::Event
+    {
+        void process() override { eq->scheduleIn(40000, *this); }
+        sim::EventQueue *eq = nullptr;
+    };
+    sim::EventQueue eq;
+    Rearm ev;
+    ev.eq = &eq;
+    eq.schedule(0, ev);
+    for (auto _ : state)
+        eq.runOne();
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_EventQueueSparse);
 
 void
 BM_PageTableMap(benchmark::State &state)

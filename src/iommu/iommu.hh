@@ -158,8 +158,7 @@ struct IommuConfig
      */
     bool useWalkCache = true;
     mem::CacheConfig walkCache{"ptwcache", 1024 * 1024, 16,
-                               mem::cacheLineSize, 40 * 500, 2 * 500,
-                               64};
+                               mem::cacheLineSize, 40 * 500, 2 * 500};
 };
 
 /** The IOMMU model; plugs into the GPU TLB hierarchy's miss path. */

@@ -1,6 +1,7 @@
 #include "mem/cache.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "sim/audit.hh"
 
@@ -10,11 +11,24 @@ Cache::Cache(sim::EventQueue &eq, const CacheConfig &cfg,
              MemoryDevice &below)
     : eq_(eq), cfg_(cfg), below_(below), statGroup_(cfg.name)
 {
-    GPUWALK_ASSERT(cfg_.sizeBytes % (cfg_.lineBytes * cfg_.associativity)
-                       == 0,
+    GPUWALK_ASSERT(cfg_.associativity > 0
+                       && cfg_.sizeBytes
+                                  % (cfg_.lineBytes * cfg_.associativity)
+                              == 0,
                    "cache size not divisible by way size");
-    numSets_ = cfg_.numSets();
-    sets_.assign(numSets_, std::vector<Line>(cfg_.associativity));
+    const Addr sets = cfg_.numSets();
+    GPUWALK_ASSERT(std::has_single_bit(cfg_.lineBytes)
+                       && std::has_single_bit(sets),
+                   "cache line and set counts must be powers of two in ",
+                   cfg_.name);
+    lineShift_ = static_cast<unsigned>(std::countr_zero(cfg_.lineBytes));
+    setShift_ = static_cast<unsigned>(std::countr_zero(sets));
+    setMask_ = sets - 1;
+    ways_ = cfg_.associativity;
+    const std::size_t slots = static_cast<std::size_t>(sets) * ways_;
+    tags_.assign(slots, 0);
+    lastUse_.assign(slots, 0);
+    dirty_.assign(slots, 0);
 
     statGroup_.add(hits_);
     statGroup_.add(misses_);
@@ -23,59 +37,63 @@ Cache::Cache(sim::EventQueue &eq, const CacheConfig &cfg,
     statGroup_.add(writebacks_);
 }
 
-Cache::Line *
-Cache::findLine(Addr addr)
+std::size_t
+Cache::findSlot(Addr line) const
 {
-    auto &set = sets_[setIndex(addr)];
-    const Addr tag = tagOf(addr);
-    for (auto &line : set) {
-        if (line.valid && line.tag == tag)
-            return &line;
+    const std::size_t base = setBase(line);
+    const Addr want = tagWord(line);
+    for (std::size_t i = base; i < base + ways_; ++i) {
+        if (tags_[i] == want)
+            return i;
     }
-    return nullptr;
+    return npos;
 }
 
 void
-Cache::installLine(Addr addr, bool dirty)
+Cache::installLine(Addr line_addr, bool dirty)
 {
-    auto &set = sets_[setIndex(addr)];
-    // Prefer an invalid way; otherwise evict true-LRU.
-    Line *victim = nullptr;
-    for (auto &line : set) {
-        if (!line.valid) {
-            victim = &line;
+    const Addr line = lineOf(line_addr);
+    const std::size_t base = setBase(line);
+    // Prefer the first invalid way; otherwise evict true-LRU (first
+    // on ties).
+    std::size_t victim = base;
+    for (std::size_t i = base; i < base + ways_; ++i) {
+        if (!(tags_[i] & validBit)) {
+            victim = i;
             break;
         }
-        if (!victim || line.lastUse < victim->lastUse)
-            victim = &line;
+        if (lastUse_[i] < lastUse_[victim])
+            victim = i;
     }
-    if (victim->valid) {
+    if (tags_[victim] & validBit) {
         ++evictions_;
-        if (victim->dirty) {
+        if (dirty_[victim]) {
             ++writebacks_;
             MemoryRequest wb;
-            wb.addr = (victim->tag * numSets_ + setIndex(addr))
-                      * cfg_.lineBytes;
+            wb.addr = (((tags_[victim] >> 1) << setShift_)
+                       | (line & setMask_))
+                      << lineShift_;
             wb.write = true;
             wb.requester = Requester::GpuData;
             below_.access(std::move(wb));
         }
     }
-    victim->tag = tagOf(addr);
-    victim->valid = true;
-    victim->dirty = dirty;
-    victim->lastUse = ++useClock_;
+    tags_[victim] = tagWord(line);
+    dirty_[victim] = dirty;
+    lastUse_[victim] = ++useClock_;
 }
 
 void
 Cache::access(MemoryRequest req)
 {
-    const Addr line_addr = req.addr - (req.addr % cfg_.lineBytes);
+    const Addr line = lineOf(req.addr);
+    const Addr line_addr = line << lineShift_;
 
-    if (Line *line = findLine(req.addr)) {
+    const std::size_t slot = findSlot(line);
+    if (slot != npos) {
         ++hits_;
-        line->lastUse = ++useClock_;
-        line->dirty = line->dirty || req.write;
+        lastUse_[slot] = ++useClock_;
+        dirty_[slot] |= req.write;
         eq_.scheduleIn(cfg_.hitLatency,
                        [r = std::move(req)]() mutable { r.complete(); });
         return;
@@ -93,18 +111,18 @@ Cache::access(MemoryRequest req)
     ++misses_;
     Mshr *mshr = mshrPool_.acquire();
     mshr->anyWrite = req.write;
-    mshr->waiters.push_back(std::move(req));
-    mshrs_.emplace(line_addr, mshr);
-
     MemoryRequest fill;
     fill.addr = line_addr;
     fill.size = static_cast<unsigned>(cfg_.lineBytes);
     fill.write = false;
-    fill.requester = mshr->waiters.front().requester;
-    fill.instruction = mshr->waiters.front().instruction;
-    fill.wavefront = mshr->waiters.front().wavefront;
-    fill.cu = mshr->waiters.front().cu;
+    fill.requester = req.requester;
+    fill.instruction = req.instruction;
+    fill.wavefront = req.wavefront;
+    fill.cu = req.cu;
     fill.onComplete = [this, line_addr] { handleFill(line_addr); };
+    mshr->waiters.push_back(std::move(req));
+    mshrs_.emplace(line_addr, mshr);
+
     // Tag lookup happens before the fill is sent downstream.
     eq_.scheduleIn(cfg_.tagLatency,
                    [this, f = std::move(fill)]() mutable {
@@ -151,12 +169,8 @@ Cache::registerInvariants(sim::Auditor &auditor)
 void
 Cache::flushAll()
 {
-    for (auto &set : sets_) {
-        for (auto &line : set) {
-            line.valid = false;
-            line.dirty = false;
-        }
-    }
+    std::fill(tags_.begin(), tags_.end(), Addr{0});
+    std::fill(dirty_.begin(), dirty_.end(), std::uint8_t{0});
 }
 
 } // namespace gpuwalk::mem

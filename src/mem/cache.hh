@@ -37,7 +37,6 @@ struct CacheConfig
     Addr lineBytes = cacheLineSize;
     sim::Tick hitLatency = 1 * 500;   ///< ticks (1 GPU cycle default)
     sim::Tick tagLatency = 1 * 500;   ///< added on the miss path
-    unsigned mshrs = 32;              ///< distinct outstanding lines
 
     Addr numSets() const
     {
@@ -45,7 +44,16 @@ struct CacheConfig
     }
 };
 
-/** A blocking-free (MSHR-based) timing cache. */
+/**
+ * A blocking-free (MSHR-based) timing cache.
+ *
+ * MSHRs are unbounded: every distinct missing line gets one, and
+ * later misses to it merge. Line and set counts must be powers of two
+ * so indexing is shifts and masks. Way state is one flat
+ * structure-of-arrays (slot = set * associativity + way) with three
+ * columns: a tag word whose low bit is the valid bit, the LRU stamp,
+ * and the dirty flag.
+ */
 class Cache : public MemoryDevice
 {
   public:
@@ -85,14 +93,6 @@ class Cache : public MemoryDevice
     void registerInvariants(sim::Auditor &auditor);
 
   private:
-    struct Line
-    {
-        Addr tag = 0;
-        bool valid = false;
-        bool dirty = false;
-        std::uint64_t lastUse = 0;
-    };
-
     /** Pooled and recycled with its waiter-vector capacity intact, so
      *  the steady-state miss path does not allocate. */
     struct Mshr
@@ -101,24 +101,36 @@ class Cache : public MemoryDevice
         bool anyWrite = false;
     };
 
-    Addr setIndex(Addr addr) const
+    /** Tag words: the line's tag shifted left one, low bit = valid. */
+    static constexpr Addr validBit = 1;
+
+    Addr lineOf(Addr addr) const { return addr >> lineShift_; }
+    std::size_t setBase(Addr line) const
     {
-        return (addr / cfg_.lineBytes) % numSets_;
+        return static_cast<std::size_t>(line & setMask_) * ways_;
     }
-    Addr tagOf(Addr addr) const
+    Addr tagWord(Addr line) const
     {
-        return (addr / cfg_.lineBytes) / numSets_;
+        return ((line >> setShift_) << 1) | validBit;
     }
 
-    Line *findLine(Addr addr);
-    void installLine(Addr addr, bool dirty);
+    /** Slot holding @p line, or npos. */
+    std::size_t findSlot(Addr line) const;
+    void installLine(Addr line_addr, bool dirty);
     void handleFill(Addr line_addr);
+
+    static constexpr std::size_t npos = ~std::size_t{0};
 
     sim::EventQueue &eq_;
     CacheConfig cfg_;
     MemoryDevice &below_;
-    Addr numSets_ = 0;
-    std::vector<std::vector<Line>> sets_;
+    unsigned lineShift_ = 0;
+    unsigned setShift_ = 0;
+    Addr setMask_ = 0;
+    std::size_t ways_ = 0;
+    std::vector<Addr> tags_;
+    std::vector<std::uint64_t> lastUse_;
+    std::vector<std::uint8_t> dirty_;
     sim::FlatMap<Addr, Mshr *> mshrs_; ///< keyed by line base addr
     sim::ObjectPool<Mshr> mshrPool_{64};
     std::uint64_t useClock_ = 0;

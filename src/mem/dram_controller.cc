@@ -48,67 +48,75 @@ DramController::registerInvariants(sim::Auditor &auditor)
 void
 DramController::access(MemoryRequest req)
 {
-    Pending p;
-    p.where = mapper_.decode(req.addr);
-    p.req = std::move(req);
-    p.arrival = eq_.now();
-    p.seq = nextSeq_++;
-
-    if (p.req.write)
+    if (req.write)
         ++writes_;
     else
         ++reads_;
-    if (p.req.requester == Requester::PageWalk)
+    if (req.requester == Requester::PageWalk)
         ++walkAccesses_;
 
-    unsigned chan = p.where.channel;
-    queueDepth_.sample(static_cast<double>(channels_[chan].queue.size()));
-    channels_[chan].queue.push_back(std::move(p));
-    trySchedule(chan);
+    const DramAddress where = mapper_.decode(req.addr);
+    Channel &ch = channels_[where.channel];
+    queueDepth_.sample(static_cast<double>(ch.queue.size()));
+
+    std::uint32_t slot;
+    if (ch.freeSlots.empty()) {
+        slot = static_cast<std::uint32_t>(ch.slots.size());
+        ch.slots.emplace_back();
+    } else {
+        slot = ch.freeSlots.back();
+        ch.freeSlots.pop_back();
+    }
+    Parked &p = ch.slots[slot];
+    p.req = std::move(req);
+    p.arrival = eq_.now();
+    p.rank = where.rank;
+    ch.queue.push_back({where.row, mapper_.flatBank(where), slot});
+    trySchedule(where.channel);
 }
 
 void
 DramController::trySchedule(unsigned chan)
 {
     Channel &ch = channels_[chan];
-    if (ch.queue.empty())
-        return;
-
     const sim::Tick now = eq_.now();
 
-    // FR-FCFS: find the best issuable request. A request is issuable
-    // when its bank can accept a new command now; banks operate in
-    // parallel and only the data bursts serialize on the channel bus.
-    // Among candidates, row hits beat non-hits, then age.
-    std::size_t best = ch.queue.size();
-    bool best_hit = false;
-    sim::Tick soonest = sim::maxTick;
+    while (!ch.queue.empty()) {
+        // FR-FCFS: find the best issuable request. A request is
+        // issuable when its bank can accept a new command now; banks
+        // operate in parallel and only the data bursts serialize on
+        // the channel bus. Among candidates, row hits beat non-hits,
+        // then age: the oldest issuable row hit ends the scan.
+        std::size_t best = ch.queue.size();
+        bool best_hit = false;
+        sim::Tick soonest = sim::maxTick;
 
-    for (std::size_t i = 0; i < ch.queue.size(); ++i) {
-        const Pending &p = ch.queue[i];
-        const BankState &bank = ch.banks[mapper_.flatBank(p.where)];
-        const bool hit = bank.rowOpen && bank.openRow == p.where.row;
-        soonest = std::min(soonest, bank.readyAt);
-
-        if (bank.readyAt > now)
-            continue; // bank busy this instant
-        if (best == ch.queue.size() || (hit && !best_hit)) {
-            best = i;
-            best_hit = hit;
+        for (std::size_t i = 0; i < ch.queue.size(); ++i) {
+            const Queued &q = ch.queue[i];
+            const BankState &bank = ch.banks[q.bank];
+            soonest = std::min(soonest, bank.readyAt);
+            if (bank.readyAt > now)
+                continue; // bank busy this instant
+            const bool hit = bank.openRow == q.row;
+            if (best == ch.queue.size() || (hit && !best_hit)) {
+                best = i;
+                best_hit = hit;
+                if (hit)
+                    break;
+            }
         }
-    }
 
-    if (best < ch.queue.size()) {
-        issue(ch, best);
+        if (best == ch.queue.size()) {
+            // Nothing issuable now: wake up when the earliest
+            // constraint clears.
+            if (!ch.drain.scheduled() && soonest != sim::maxTick
+                && soonest > now)
+                eq_.schedule(soonest, ch.drain);
+            return;
+        }
         // More requests may be issuable back to back.
-        if (!ch.queue.empty())
-            trySchedule(chan);
-        return;
+        issue(ch, best);
     }
-
-    // Nothing issuable now: wake up when the earliest constraint clears.
-    if (!ch.drain.scheduled() && soonest != sim::maxTick && soonest > now)
-        eq_.schedule(soonest, ch.drain);
 }
 
 void
@@ -120,22 +128,23 @@ DramController::DrainEvent::process()
 void
 DramController::issue(Channel &ch, std::size_t idx)
 {
-    Pending p = std::move(ch.queue[idx]);
+    const Queued q = ch.queue[idx];
     ch.queue.erase(ch.queue.begin() + static_cast<std::ptrdiff_t>(idx));
+    Parked &p = ch.slots[q.slot];
 
     const sim::Tick now = eq_.now();
-    BankState &bank = ch.banks[mapper_.flatBank(p.where)];
+    BankState &bank = ch.banks[q.bank];
 
     // Bank command timing: PRE/ACT/CAS overlap freely across banks.
     sim::Tick cmd_start = std::max(now, bank.readyAt);
-    cmd_start = applyRefresh(bank, p.where.rank, cmd_start);
+    cmd_start = applyRefresh(bank, p.rank, cmd_start);
     sim::Tick ready_for_data = 0;
 
-    if (bank.rowOpen && bank.openRow == p.where.row) {
+    if (bank.openRow == q.row) {
         // Row hit: CAS only.
         ++rowHits_;
         ready_for_data = cmd_start + cfg_.cl();
-    } else if (!bank.rowOpen) {
+    } else if (bank.openRow == closedRow) {
         // Closed bank: ACT then CAS.
         ++rowMisses_;
         ready_for_data = cmd_start + cfg_.rcd() + cfg_.cl();
@@ -150,8 +159,7 @@ DramController::issue(Channel &ch, std::size_t idx)
         bank.activatedAt = act_at;
     }
 
-    bank.rowOpen = true;
-    bank.openRow = p.where.row;
+    bank.openRow = q.row;
 
     // Only the data burst serializes on the shared channel bus.
     const sim::Tick data_start = std::max(ready_for_data, ch.busFreeAt);
@@ -167,21 +175,22 @@ DramController::issue(Channel &ch, std::size_t idx)
     bank.lastIssue = cmd_start;
     latency_.sample(static_cast<double>(done - p.arrival));
     sim::debug::log("dram", now, p.req.write ? "WR" : "RD", " addr=",
-                    std::hex, p.req.addr, std::dec, " bank=",
-                    mapper_.flatBank(p.where), " done@", done);
+                    std::hex, p.req.addr, std::dec, " bank=", q.bank,
+                    " done@", done);
 
     if (p.req.reply) {
         // Channel wiring: the finished request travels back through
         // the requester's reply channel, which schedules the same
         // single completion event the direct form below does.
-        sim::Channel<MemoryRequest> *ch = p.req.reply;
+        sim::Channel<MemoryRequest> *reply = p.req.reply;
         p.req.reply = nullptr;
-        ch->sendAt(done, std::move(p.req));
+        reply->sendAt(done, std::move(p.req));
     } else {
         eq_.schedule(done, [req = std::move(p.req)]() mutable {
             req.complete();
         });
     }
+    ch.freeSlots.push_back(q.slot);
 }
 
 sim::Tick
@@ -203,8 +212,8 @@ DramController::applyRefresh(BankState &bank, unsigned rank,
 
     // A refresh boundary between the bank's last use and now closes
     // its open row (refresh precharges all banks).
-    if (bank.rowOpen && bank.lastIssue < window_start)
-        bank.rowOpen = false;
+    if (bank.lastIssue < window_start)
+        bank.openRow = closedRow;
 
     if (when >= window_start && when < window_start + cfg_.tRFC) {
         ++refreshDelays_;

@@ -52,18 +52,31 @@ class DramController : public MemoryDevice
     std::uint64_t pageWalkAccesses() const { return walkAccesses_.value(); }
 
   private:
-    struct Pending
+    /** A request waiting in its channel's slot store. */
+    struct Parked
     {
         MemoryRequest req;
-        DramAddress where;
         sim::Tick arrival = 0;
-        std::uint64_t seq = 0;
+        unsigned rank = 0;
     };
+
+    /** One queue entry, in arrival order: what the FR-FCFS scan reads,
+     *  decoded once at arrival. The request itself stays parked in
+     *  Channel::slots. */
+    struct Queued
+    {
+        std::uint64_t row;
+        std::uint32_t bank; ///< flat bank within the channel
+        std::uint32_t slot; ///< index into Channel::slots
+    };
+
+    /** openRow value of a bank with no open row (no real row is this
+     *  large). */
+    static constexpr std::uint64_t closedRow = ~std::uint64_t{0};
 
     struct BankState
     {
-        bool rowOpen = false;
-        std::uint64_t openRow = 0;
+        std::uint64_t openRow = closedRow;
         sim::Tick readyAt = 0;   ///< earliest next column command
         sim::Tick activatedAt = 0; ///< for tRAS accounting
         sim::Tick lastIssue = 0;   ///< for refresh row-closing
@@ -93,7 +106,9 @@ class DramController : public MemoryDevice
 
     struct Channel
     {
-        std::deque<Pending> queue;
+        std::vector<Queued> queue;
+        std::vector<Parked> slots;
+        std::vector<std::uint32_t> freeSlots;
         std::vector<BankState> banks;
         sim::Tick busFreeAt = 0;
         DrainEvent drain;
@@ -108,7 +123,6 @@ class DramController : public MemoryDevice
     /** deque: Channel holds an intrusive event, so elements must stay
      *  put (no vector relocation). */
     std::deque<Channel> channels_;
-    std::uint64_t nextSeq_ = 0;
 
     sim::StatGroup statGroup_;
     sim::Counter reads_{"reads", "DRAM read requests"};

@@ -18,7 +18,11 @@
  * 25000, DRAM CAS ~13750, bank-conflict reissue ~41k) all fit inside
  * the 2^16-tick window, so almost every event lands in a bucket:
  * scheduling is an append to a per-tick FIFO list and dispatch is a
- * bitmap scan to the next occupied bucket. Because the window spans
+ * bitmap scan to the next occupied bucket. The occupancy bitmap has a
+ * one-word-per-bit summary above it, so the scan skips empty 64-tick
+ * stretches 64 words at a time: finding a DRAM completion thousands
+ * of ticks out costs a few summary probes, not a walk over up to 1024
+ * occupancy words. Because the window spans
  * exactly windowTicks ticks, `when % windowTicks` is collision-free
  * and every bucket holds events of a single tick.
  *
@@ -443,6 +447,7 @@ class EventQueue
     static constexpr std::size_t numBuckets =
         static_cast<std::size_t>(windowTicks);
     static constexpr std::size_t numWords = numBuckets / 64;
+    static constexpr std::size_t numSummaryWords = numWords / 64;
 
     struct Bucket
     {
@@ -488,7 +493,9 @@ class EventQueue
     void
     setBit(std::size_t idx)
     {
-        occupied_[idx >> 6] |= std::uint64_t(1) << (idx & 63);
+        const std::size_t w = idx >> 6;
+        occupied_[w] |= std::uint64_t(1) << (idx & 63);
+        summary_[w >> 6] |= std::uint64_t(1) << (w & 63);
     }
 
     bool
@@ -500,7 +507,35 @@ class EventQueue
     void
     clearBit(std::size_t idx)
     {
-        occupied_[idx >> 6] &= ~(std::uint64_t(1) << (idx & 63));
+        const std::size_t w = idx >> 6;
+        occupied_[w] &= ~(std::uint64_t(1) << (idx & 63));
+        if (!occupied_[w])
+            summary_[w >> 6] &= ~(std::uint64_t(1) << (w & 63));
+    }
+
+    /**
+     * First non-empty occupancy word at or circularly after word
+     * @p from, via the summary bitmap. Wrapping back to @p from's own
+     * summary word covers the words below @p from.
+     *
+     * @pre some occupancy word is non-empty
+     */
+    std::size_t
+    nextOccupiedWord(std::size_t from) const
+    {
+        const std::size_t sw = from >> 6;
+        const std::uint64_t first =
+            summary_[sw] & (~std::uint64_t(0) << (from & 63));
+        if (first)
+            return sw * 64 + static_cast<unsigned>(std::countr_zero(first));
+        for (std::size_t k = 1; k <= numSummaryWords; ++k) {
+            const std::size_t si = (sw + k) % numSummaryWords;
+            if (summary_[si]) {
+                return si * 64 + static_cast<unsigned>(
+                                     std::countr_zero(summary_[si]));
+            }
+        }
+        panic("summary bitmap inconsistent with nearCount_=", nearCount_);
     }
 
     void
@@ -595,19 +630,14 @@ class EventQueue
             scanFrom_ += static_cast<Tick>(std::countr_zero(first));
             return scanFrom_;
         }
-        for (std::size_t k = 1; k <= numWords; ++k) {
-            std::size_t wi = word + k;
-            if (wi >= numWords)
-                wi -= numWords;
-            const std::uint64_t bits = occupied_[wi];
-            if (bits) {
-                scanFrom_ += static_cast<Tick>(
-                    k * 64 - bit
-                    + static_cast<unsigned>(std::countr_zero(bits)));
-                return scanFrom_;
-            }
-        }
-        panic("bucket bitmap inconsistent with nearCount_=", nearCount_);
+        // The next occupied word, k words on (1..numWords; k ==
+        // numWords is this word again, holding only ticks below bit).
+        const std::size_t wi = nextOccupiedWord((word + 1) % numWords);
+        const std::size_t k = (wi + numWords - word - 1) % numWords + 1;
+        scanFrom_ += static_cast<Tick>(
+            k * 64 - bit
+            + static_cast<unsigned>(std::countr_zero(occupied_[wi])));
+        return scanFrom_;
     }
 
     /**
@@ -646,6 +676,8 @@ class EventQueue
 
     std::unique_ptr<Bucket[], BucketFree> buckets_;
     std::array<std::uint64_t, numWords> occupied_{};
+    /** Bit w set iff occupied_[w] is non-zero. */
+    std::array<std::uint64_t, numSummaryWords> summary_{};
     std::vector<Event *> overflow_;
     ObjectPool<detail::PooledEvent> pool_{512};
     std::size_t nearCount_ = 0;

@@ -11,12 +11,18 @@
  * captures) and needs only movability. Oversized captures still work
  * — they fall back to a heap box — so cold paths keep their ergonomic
  * lambdas while hot paths stay allocation-free.
+ *
+ * Captures that are trivially copyable and trivially destructible (a
+ * `this` pointer plus a few ids — most completion callbacks) move with
+ * a fixed-size byte copy and are never destroyed, so moving a request
+ * that carries one costs no indirect call.
  */
 
 #ifndef GPUWALK_SIM_INLINE_FUNCTION_HH
 #define GPUWALK_SIM_INLINE_FUNCTION_HH
 
 #include <cstddef>
+#include <cstring>
 #include <memory>
 #include <new>
 #include <type_traits>
@@ -86,12 +92,15 @@ class InlineFunction<R(As...), InlineBytes>
     reset()
     {
         if (ops_) {
-            ops_->destroy(storage());
+            if (ops_->destroy)
+                ops_->destroy(storage());
             ops_ = nullptr;
         }
     }
 
   private:
+    /** A null relocate means the stored bytes move by plain copy; a
+     *  null destroy means there is nothing to destroy. */
     struct Ops
     {
         R (*invoke)(void *, As &&...);
@@ -104,6 +113,11 @@ class InlineFunction<R(As...), InlineBytes>
         sizeof(F) <= InlineBytes
         && alignof(F) <= alignof(std::max_align_t)
         && std::is_nothrow_move_constructible_v<F>;
+
+    template <typename F>
+    static constexpr bool trivialInline =
+        fitsInline<F> && std::is_trivially_copyable_v<F>
+        && std::is_trivially_destructible_v<F>;
 
     template <typename F>
     struct InlineOps
@@ -133,6 +147,12 @@ class InlineFunction<R(As...), InlineBytes>
     };
 
     template <typename F>
+    struct TrivialOps
+    {
+        static constexpr Ops ops{&InlineOps<F>::invoke, nullptr, nullptr};
+    };
+
+    template <typename F>
     struct BoxedOps
     {
         static R
@@ -142,18 +162,13 @@ class InlineFunction<R(As...), InlineBytes>
         }
 
         static void
-        relocate(void *dst, void *src)
-        {
-            *static_cast<F **>(dst) = *static_cast<F **>(src);
-        }
-
-        static void
         destroy(void *p)
         {
             delete *static_cast<F **>(p);
         }
 
-        static constexpr Ops ops{&invoke, &relocate, &destroy};
+        // The box pointer itself relocates by byte copy.
+        static constexpr Ops ops{&invoke, nullptr, &destroy};
     };
 
     template <typename F>
@@ -161,14 +176,29 @@ class InlineFunction<R(As...), InlineBytes>
     emplace(F &&fn)
     {
         using D = std::decay_t<F>;
-        if constexpr (fitsInline<D>) {
+        if constexpr (trivialInline<D>) {
+            ::new (storage()) D(std::forward<F>(fn));
+            zeroTail<sizeof(D)>();
+            ops_ = &TrivialOps<D>::ops;
+        } else if constexpr (fitsInline<D>) {
             ::new (storage()) D(std::forward<F>(fn));
             ops_ = &InlineOps<D>::ops;
         } else {
             // Oversized or over-aligned capture: heap-boxed fallback.
             *static_cast<D **>(storage()) = new D(std::forward<F>(fn));
+            zeroTail<sizeof(D *)>();
             ops_ = &BoxedOps<D>::ops;
         }
+    }
+
+    /** Zeroes the buffer past the first @p Used bytes, so a byte-copy
+     *  relocation never reads uninitialised storage. */
+    template <std::size_t Used>
+    void
+    zeroTail()
+    {
+        if constexpr (Used < InlineBytes)
+            std::memset(store_ + Used, 0, InlineBytes - Used);
     }
 
     void
@@ -176,7 +206,10 @@ class InlineFunction<R(As...), InlineBytes>
     {
         ops_ = other.ops_;
         if (ops_) {
-            ops_->relocate(storage(), other.storage());
+            if (ops_->relocate)
+                ops_->relocate(storage(), other.storage());
+            else
+                std::memcpy(store_, other.store_, InlineBytes);
             other.ops_ = nullptr;
         }
     }

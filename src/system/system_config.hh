@@ -33,11 +33,11 @@ struct SystemConfig
 
     /** Per-CU L1 data cache: 32 KB, 16-way, 64 B (Table I). */
     mem::CacheConfig l1d{"l1d", 32 * 1024, 16, mem::cacheLineSize,
-                         1 * 500, 1 * 500, 64};
+                         1 * 500, 1 * 500};
 
     /** Shared L2 data cache: 4 MB, 16-way, 64 B (Table I). */
     mem::CacheConfig l2d{"l2d", 4 * 1024 * 1024, 16, mem::cacheLineSize,
-                         16 * 500, 4 * 500, 256};
+                         16 * 500, 4 * 500};
 
     /** Page-walk service policy (the experiments' variable). */
     core::SchedulerKind scheduler = core::SchedulerKind::Fcfs;

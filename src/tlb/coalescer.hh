@@ -43,8 +43,9 @@ struct CoalescedAccess
 };
 
 /**
- * Coalesces @p lane_addrs. First occurrence order is preserved, which
- * keeps request streams deterministic.
+ * Coalesces @p lane_addrs in time linear in the lane count. First
+ * occurrence order is preserved, which keeps request streams
+ * deterministic.
  */
 CoalescedAccess coalesce(const std::vector<mem::Addr> &lane_addrs);
 

@@ -30,12 +30,9 @@ SetAssocTlb::SetAssocTlb(const TlbConfig &cfg)
                    "TLB set count must be a power of two in ",
                    cfg_.name);
     const std::size_t slots = numSets_ * cfg_.associativity;
-    vpn_.assign(slots, 0);
+    tag_.assign(slots, 0);
     ppn_.assign(slots, 0);
     lastUse_.assign(slots, 0);
-    valid_.assign(slots, 0);
-    large_.assign(slots, 0);
-    ctx_.assign(slots, defaultContext);
 
     statGroup_.add(hits_);
     statGroup_.add(misses_);
@@ -51,16 +48,12 @@ SetAssocTlb::findSlot(mem::Addr va_page, bool large, ContextId ctx) const
     const mem::Addr vpn =
         large ? largeVpn(va_page) : mem::pageNumber(va_page);
     const std::size_t base = setIndex(vpn, ctx) * cfg_.associativity;
-    const std::uint8_t want = large ? 1 : 0;
-    // Tag compare first: it almost always differs, making the common
-    // way one 64-bit compare instead of three dependent byte tests.
-    // The context tag is part of the match: a VPN never hits across
-    // address spaces.
+    // The context is part of the tag: a VPN never hits across address
+    // spaces.
+    const mem::Addr want = packTag(vpn, ctx, large);
     for (std::size_t i = base; i < base + cfg_.associativity; ++i) {
-        if (vpn_[i] == vpn && valid_[i] && large_[i] == want
-            && ctx_[i] == ctx) {
+        if (tag_[i] == want)
             return i;
-        }
     }
     return npos;
 }
@@ -77,7 +70,7 @@ SetAssocTlb::findAny(mem::Addr va_page, ContextId ctx) const
 TlbHit
 SetAssocTlb::hitAt(std::size_t i, mem::Addr va_page) const
 {
-    if (!large_[i])
+    if (!(tag_[i] & largeBit))
         return TlbHit{ppn_[i] << mem::pageShift, false};
     const mem::Addr base = ppn_[i] << 21;
     const mem::Addr offset =
@@ -125,42 +118,38 @@ SetAssocTlb::insert(mem::Addr va_page, mem::Addr pa_page,
     const mem::Addr ppn = large_page ? (pa_page >> 21)
                                      : mem::pageNumber(pa_page);
 
-    // Refresh a duplicate fill in place.
-    const std::size_t hit = findSlot(va_page, large_page, ctx);
-    if (hit != npos) {
-        ppn_[hit] = ppn;
-        lastUse_[hit] = ++useClock_;
-        return;
-    }
-
-    // Victim: the first invalid way, or failing that the true-LRU
-    // valid way (first-encountered on lastUse ties).
+    // One pass over the set: a duplicate fill is refreshed in place;
+    // otherwise the victim is the first invalid way, or failing that
+    // the true-LRU way (first-encountered on lastUse ties).
+    const mem::Addr want = packTag(vpn, ctx, large_page);
     const std::size_t base = setIndex(vpn, ctx) * cfg_.associativity;
-    std::size_t victim = npos;
+    std::size_t invalid = npos;
+    std::size_t lru = base;
     for (std::size_t i = base; i < base + cfg_.associativity; ++i) {
-        if (!valid_[i]) {
-            victim = i;
-            break;
+        const mem::Addr tag = tag_[i];
+        if (tag == want) {
+            ppn_[i] = ppn;
+            lastUse_[i] = ++useClock_;
+            return;
+        }
+        if (!(tag & validBit)) {
+            if (invalid == npos)
+                invalid = i;
+        } else if (lastUse_[i] < lastUse_[lru]) {
+            lru = i;
         }
     }
+    std::size_t victim = invalid;
     if (victim == npos) {
-        victim = base;
-        for (std::size_t i = base + 1; i < base + cfg_.associativity;
-             ++i) {
-            if (lastUse_[i] < lastUse_[victim])
-                victim = i;
-        }
+        victim = lru;
         ++evictions_;
-        if (large_[victim])
+        if (tag_[victim] & largeBit)
             --largeResident_;
     }
 
     ++insertions_;
-    vpn_[victim] = vpn;
+    tag_[victim] = want;
     ppn_[victim] = ppn;
-    valid_[victim] = 1;
-    large_[victim] = large_page ? 1 : 0;
-    ctx_[victim] = ctx;
     lastUse_[victim] = ++useClock_;
     if (large_page)
         ++largeResident_;
@@ -169,7 +158,7 @@ SetAssocTlb::insert(mem::Addr va_page, mem::Addr pa_page,
 void
 SetAssocTlb::invalidateAll()
 {
-    std::fill(valid_.begin(), valid_.end(), std::uint8_t{0});
+    std::fill(tag_.begin(), tag_.end(), mem::Addr{0});
     largeResident_ = 0;
 }
 
@@ -179,9 +168,9 @@ SetAssocTlb::invalidate(mem::Addr va_page, ContextId ctx)
     const std::size_t i = findAny(va_page, ctx);
     if (i == npos)
         return false;
-    valid_[i] = 0;
-    if (large_[i])
+    if (tag_[i] & largeBit)
         --largeResident_;
+    tag_[i] = 0;
     return true;
 }
 
@@ -189,8 +178,8 @@ unsigned
 SetAssocTlb::population() const
 {
     unsigned n = 0;
-    for (const std::uint8_t v : valid_)
-        n += v;
+    for (const mem::Addr tag : tag_)
+        n += static_cast<unsigned>(tag & validBit);
     return n;
 }
 

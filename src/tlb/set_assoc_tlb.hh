@@ -6,11 +6,12 @@
  * GPU-wide shared L2 TLB (512-entry 16-way), and the IOMMU's own two
  * TLB levels (Table I).
  *
- * Entry state is stored structure-of-arrays: the tag/valid/large
- * columns a lookup compares against are contiguous per set instead of
- * strided across fat AoS entries, and the ppn/lastUse columns are only
- * touched on a hit. The set count must be a power of two so indexing
- * is a mask, not a division — every Table I geometry qualifies.
+ * Entry state is stored structure-of-arrays. The VPN, context, page
+ * size and valid bit are packed into one tag word, so matching a way
+ * is a single 64-bit compare over a contiguous column; the ppn/lastUse
+ * columns are only touched on a hit or a fill. The set count must be
+ * a power of two so indexing is a mask, not a division — every
+ * Table I geometry qualifies.
  */
 
 #ifndef GPUWALK_TLB_SET_ASSOC_TLB_HH
@@ -95,6 +96,8 @@ class SetAssocTlb
 
     std::uint64_t hits() const { return hits_.value(); }
     std::uint64_t misses() const { return misses_.value(); }
+    std::uint64_t insertions() const { return insertions_.value(); }
+    std::uint64_t evictions() const { return evictions_.value(); }
 
     double
     hitRate() const
@@ -125,6 +128,22 @@ class SetAssocTlb
         return static_cast<std::size_t>(h) & (numSets_ - 1);
     }
 
+    // Tag word layout: valid in bit 0, large in bit 1, the context in
+    // bits 2..17 and the (4 KB or 2 MB) VPN above. A word with the
+    // valid bit clear never equals a packed lookup key.
+    static constexpr mem::Addr validBit = 1;
+    static constexpr mem::Addr largeBit = 2;
+    static constexpr unsigned vpnShift = 18;
+
+    static mem::Addr
+    packTag(mem::Addr vpn, ContextId ctx, bool large)
+    {
+        GPUWALK_ASSERT(vpn < (mem::Addr(1) << (64 - vpnShift)),
+                       "VPN too wide for the packed TLB tag");
+        return vpn << vpnShift | mem::Addr(ctx) << 2
+               | (large ? largeBit : 0) | validBit;
+    }
+
     /** Slot of the entry matching (@p va_page, @p ctx, @p large), or
      *  npos. */
     std::size_t findSlot(mem::Addr va_page, bool large,
@@ -141,12 +160,9 @@ class SetAssocTlb
     std::size_t numSets_;
 
     // Entry columns, slot = set * associativity + way.
-    std::vector<mem::Addr> vpn_;
+    std::vector<mem::Addr> tag_;
     std::vector<mem::Addr> ppn_;
     std::vector<std::uint64_t> lastUse_;
-    std::vector<std::uint8_t> valid_;
-    std::vector<std::uint8_t> large_;
-    std::vector<ContextId> ctx_;
 
     std::uint64_t useClock_ = 0;
 

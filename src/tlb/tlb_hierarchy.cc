@@ -174,10 +174,16 @@ TlbHierarchy::accessL2(TranslationRequest req)
 void
 TlbHierarchy::noteL2Access(std::uint32_t wavefront)
 {
-    epochSet_.insert(wavefront);
+    if (epochStamp_.size() <= wavefront)
+        epochStamp_.resize(std::size_t(wavefront) + 1, 0);
+    if (epochStamp_[wavefront] != epoch_) {
+        epochStamp_[wavefront] = epoch_;
+        ++epochDistinct_;
+    }
     if (++epochAccesses_ >= cfg_.epochLength) {
-        epochWavefronts_.sample(static_cast<double>(epochSet_.size()));
-        epochSet_.clear();
+        epochWavefronts_.sample(static_cast<double>(epochDistinct_));
+        ++epoch_;
+        epochDistinct_ = 0;
         epochAccesses_ = 0;
     }
 }

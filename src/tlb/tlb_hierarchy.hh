@@ -14,7 +14,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <set>
 #include <vector>
 
 #include "sim/event_queue.hh"
@@ -154,8 +153,11 @@ class TlbHierarchy
     /** Shared pool behind both miss tables. */
     sim::ObjectPool<MergeEntry> mergePool_{64};
 
-    // Fig. 12 epoch tracking.
-    std::set<std::uint32_t> epochSet_;
+    // Fig. 12 epoch tracking: a wavefront counts once per epoch, when
+    // its stamp first differs from the current epoch number.
+    std::vector<std::uint32_t> epochStamp_; ///< by wavefront
+    std::uint32_t epoch_ = 1;
+    unsigned epochDistinct_ = 0;
     unsigned epochAccesses_ = 0;
 
     /** Per-wavefront request/response tally for the conservation

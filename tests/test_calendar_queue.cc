@@ -14,6 +14,8 @@
  *  - far-future events (overflow tier) and bucket wraparound, where a
  *    migrated event must still order by seq against later-scheduled
  *    bucket residents of the same tick,
+ *  - next-tick scans that cross summary-bitmap words or wrap from the
+ *    end of the window back to its start,
  *  - rescheduling from within a running callback.
  */
 
@@ -36,6 +38,9 @@ using gpuwalk::sim::EventQueue;
 using gpuwalk::sim::Tick;
 
 constexpr Tick kWindow = EventQueue::windowTicks;
+/** Ticks covered by one word of the queue's summary bitmap (64
+ *  occupancy words of 64 one-tick buckets). */
+constexpr Tick kSummarySpan = 64 * 64;
 
 /**
  * Ordering oracle: O(n) minimum scan over (when, priority, seq).
@@ -144,7 +149,7 @@ fuzzOnce(std::uint32_t seed, bool rescheduleFromCallback)
     std::map<int, RearmPlan> plans; // parent tag -> pending mirror
 
     auto draw_delay = [&rng]() -> Tick {
-        switch (rng() % 8) {
+        switch (rng() % 10) {
           case 0: return 0;
           case 1: return rng() % 4;
           case 2: return rng() % 1000;
@@ -152,6 +157,10 @@ fuzzOnce(std::uint32_t seed, bool rescheduleFromCallback)
           case 4: return kWindow - 1 + rng() % 3; // straddle boundary
           case 5: return kWindow + rng() % kWindow;
           case 6: return kWindow * (2 + rng() % 6) + rng() % 97;
+          case 7: // a later summary word (64 words = 4096 ticks each)
+            return kSummarySpan * (1 + rng() % 15) + rng() % kSummarySpan;
+          case 8: // the window's last summary word: the scan wraps
+            return kWindow - 1 - rng() % kSummarySpan;
           default: return 25000 + rng() % 500; // an IOMMU-ish hop
         }
     };

@@ -1,9 +1,13 @@
 /**
  * @file
- * Unit tests for the access coalescer.
+ * Unit tests for the access coalescer, plus a differential fuzz
+ * against the original quadratic first-occurrence dedup loop.
  */
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <random>
 
 #include "tlb/coalescer.hh"
 
@@ -95,6 +99,67 @@ TEST(Coalescer, DivergenceMetricPartial)
     EXPECT_EQ(out.activeLanes, 64u);
     EXPECT_EQ(out.pages.size(), 32u);
     EXPECT_DOUBLE_EQ(out.pageDivergence(), 0.5);
+}
+
+/** The original O(lanes^2) dedup: std::find over the output so far. */
+CoalescedAccess
+referenceCoalesce(const std::vector<Addr> &lane_addrs)
+{
+    CoalescedAccess out;
+    out.activeLanes = static_cast<unsigned>(lane_addrs.size());
+    for (Addr a : lane_addrs) {
+        const Addr page = mem::pageAlign(a);
+        if (std::find(out.pages.begin(), out.pages.end(), page)
+            == out.pages.end())
+            out.pages.push_back(page);
+        const Addr line = mem::lineAlign(a);
+        if (std::find(out.lines.begin(), out.lines.end(), line)
+            == out.lines.end())
+            out.lines.push_back(line);
+    }
+    return out;
+}
+
+TEST(CoalescerDifferential, ExactOrderMatchesNaiveLoop)
+{
+    std::mt19937_64 rng(7);
+    for (int trial = 0; trial < 4000; ++trial) {
+        const std::size_t lanes = 1 + rng() % 64;
+        // A small pool of pages and lines makes duplicates common,
+        // adjacent and far apart; page 0 and high addresses included.
+        const std::size_t pool_pages = 1 + rng() % 16;
+        const Addr base = (rng() % 2) ? 0 : (rng() % (Addr(1) << 36)) << 12;
+        std::vector<Addr> addrs;
+        for (std::size_t i = 0; i < lanes; ++i) {
+            if (!addrs.empty() && rng() % 3 == 0) {
+                addrs.push_back(addrs[rng() % addrs.size()]
+                                + rng() % 8);
+            } else {
+                addrs.push_back(base + (rng() % pool_pages) * mem::pageSize
+                                + rng() % mem::pageSize);
+            }
+        }
+        const CoalescedAccess got = coalesce(addrs);
+        const CoalescedAccess want = referenceCoalesce(addrs);
+        ASSERT_EQ(got.pages, want.pages) << "trial " << trial;
+        ASSERT_EQ(got.lines, want.lines) << "trial " << trial;
+        ASSERT_EQ(got.activeLanes, want.activeLanes);
+    }
+}
+
+TEST(CoalescerDifferential, WideInstructionsBeyondSixtyFourLanes)
+{
+    // More lanes than any Table II instruction: the dedup table grows.
+    std::mt19937_64 rng(11);
+    for (std::size_t lanes : {65u, 200u, 1000u}) {
+        std::vector<Addr> addrs;
+        for (std::size_t i = 0; i < lanes; ++i)
+            addrs.push_back((rng() % 300) * 1024);
+        const CoalescedAccess got = coalesce(addrs);
+        const CoalescedAccess want = referenceCoalesce(addrs);
+        EXPECT_EQ(got.pages, want.pages);
+        EXPECT_EQ(got.lines, want.lines);
+    }
 }
 
 } // namespace

@@ -154,6 +154,26 @@ TEST(ObjectPool, LiveCountStaysExactUnderRecycleWhileIterating)
     EXPECT_EQ(pool.inUse(), 0u);
 }
 
+TEST(ObjectPool, ReleaseFromThirtiethSlabWorks)
+{
+    // The TLB merge pool reaches ~30 slabs on irregular workloads; a
+    // release deep in the slab list must resolve like one in the first.
+    ObjectPool<Payload> pool(4);
+    std::vector<Payload *> held;
+    for (int i = 0; i < 30 * 4; ++i)
+        held.push_back(pool.acquire());
+    ASSERT_EQ(pool.slabCount(), 30u);
+
+    Payload *deep = held[29 * 4 + 2]; // third object of slab 30
+    pool.release(deep);
+    EXPECT_EQ(pool.inUse(), 30u * 4 - 1);
+    EXPECT_EQ(pool.acquire(), deep); // LIFO hands it straight back
+    for (Payload *p : held)
+        pool.release(p);
+    EXPECT_EQ(pool.inUse(), 0u);
+    EXPECT_EQ(pool.slabCount(), 30u);
+}
+
 TEST(ObjectPoolDeathTest, DoubleReleasePanics)
 {
     ObjectPool<Payload> pool(4);
@@ -184,6 +204,21 @@ TEST(ObjectPoolDeathTest, ReleasingForeignPointerPanics)
     Payload stack_object;
     EXPECT_DEATH(pool.release(&stack_object), "non-pooled");
     pool.release(p);
+}
+
+TEST(ObjectPoolDeathTest, OnePastTheLastSlabPanics)
+{
+    ObjectPool<Payload> pool(4);
+    std::vector<Payload *> held;
+    for (int i = 0; i < 8; ++i)
+        held.push_back(pool.acquire());
+    ASSERT_EQ(pool.slabCount(), 2u);
+    // Acquires come out in slab order: held[7] ends the last slab.
+    Payload *past_end = held[7] + 1;
+    ASSERT_EQ(std::count(held.begin(), held.end(), past_end), 0);
+    EXPECT_DEATH(pool.release(past_end), "non-pooled");
+    for (Payload *p : held)
+        pool.release(p);
 }
 
 TEST(ObjectPoolDeathTest, ReleasingAnotherPoolsObjectPanics)
