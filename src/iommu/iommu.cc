@@ -330,25 +330,10 @@ Iommu::translate(tlb::TranslationRequest req)
 }
 
 void
-Iommu::deliverTranslate(tlb::TranslationRequest req)
-{
-    // The translate channel already carried the hop latency.
-    ++requests_;
-    frontPort_.submit([this, r = std::move(req)]() mutable {
-        lookupTlbs(std::move(r));
-    });
-}
-
-void
 Iommu::respond(tlb::TranslationRequest req, mem::Addr pa_page,
                bool large_page, sim::Tick delay)
 {
-    if (replyChannel_) {
-        replyChannel_->sendAt(eq_.now() + delay,
-                              tlb::TranslationReply{std::move(req),
-                                                    pa_page, large_page});
-        return;
-    }
+    ++replies_;
     if (delay == 0) {
         req.complete(pa_page, large_page);
         return;
@@ -724,9 +709,9 @@ Iommu::onWalkDone(WalkResult result)
     const bool leader = result.walk.request.leader;
     if (isPrefetch) {
         // No coalescer asked for this translation, so there is nothing
-        // to respond to: a synthetic TranslationReply would break the
-        // reply channel's request/reply conservation. The walk's whole
-        // value is the TLB fills above.
+        // to respond to: a synthetic reply would push replies() past
+        // requests() and break system.reply_conservation. The walk's
+        // whole value is the TLB fills above.
         ++prefetchCompleted_;
         prefetchedUntouched_.try_emplace(
             mem::pageCtxKey(completedCtx, completedVa), true);

@@ -40,7 +40,6 @@
 #include "sim/flat_map.hh"
 #include "sim/rate_limiter.hh"
 #include "sim/stats.hh"
-#include "tlb/channel_port.hh"
 #include "tlb/set_assoc_tlb.hh"
 #include "tlb/translation.hh"
 
@@ -192,26 +191,8 @@ class Iommu : public tlb::TranslationService
     }
 
     /** Entry point for GPU L2 TLB misses. Pays the GPU→IOMMU hop
-     *  latency internally (direct wiring; unit tests, interposers). */
+     *  latency before the request reaches the front port. */
     void translate(tlb::TranslationRequest req) override;
-
-    /**
-     * Entry point for requests arriving through the translate channel
-     * (system::System's port wiring): the channel has already carried
-     * the hop latency, so the request goes straight to the front port.
-     */
-    void deliverTranslate(tlb::TranslationRequest req);
-
-    /**
-     * Routes completed translations (IOMMU TLB hits and finished
-     * walks) back through @p ch instead of completing them in place,
-     * so the reply edge is counted like every other channel. nullptr
-     * restores direct completion.
-     */
-    void setReplyChannel(tlb::TranslationReplyChannel *ch)
-    {
-        replyChannel_ = ch;
-    }
 
     /**
      * Attaches a lifecycle tracer to the walk path (this component and
@@ -250,6 +231,10 @@ class Iommu : public tlb::TranslationService
 
     /** Translation requests received from the GPU TLB hierarchy. */
     std::uint64_t requests() const { return requests_.value(); }
+
+    /** Completed translations handed back toward the GPU TLBs (IOMMU
+     *  TLB hits and finished demand walks; never prefetches). */
+    std::uint64_t replies() const { return replies_; }
 
     /** Requests that hit in the IOMMU's own TLBs. */
     std::uint64_t tlbHits() const { return tlbHits_.value(); }
@@ -467,13 +452,14 @@ class Iommu : public tlb::TranslationService
     std::vector<std::unique_ptr<PageTableWalker>> walkers_;
     WalkMetrics metrics_;
     std::uint64_t nextSeq_ = 0;
+    /** respond() calls; an audit count kept out of the stats dump. */
+    std::uint64_t replies_ = 0;
 
     // Budget admission state: tokens left in the current window, and
     // demand dispatches seen since the window opened.
     unsigned specTokens_ = 0;
     unsigned specWindowCount_ = 0;
     trace::Tracer *tracer_ = nullptr;
-    tlb::TranslationReplyChannel *replyChannel_ = nullptr;
 
     sim::StatGroup statGroup_;
     sim::Counter requests_{"requests", "translation requests received"};

@@ -4,7 +4,7 @@
 
 #include "sim/audit.hh"
 #include "sim/debug.hh"
-#include "sim/port.hh"
+#include "sim/logging.hh"
 
 namespace gpuwalk::mem {
 
@@ -164,6 +164,10 @@ DramController::issue(Channel &ch, std::size_t idx)
     // Only the data burst serializes on the shared channel bus.
     const sim::Tick data_start = std::max(ready_for_data, ch.busFreeAt);
     const sim::Tick done = data_start + cfg_.burst();
+    // The completion floor: nothing finishes faster than CAS + burst.
+    GPUWALK_ASSERT(done - now >= cfg_.cl() + cfg_.burst(),
+                   "DRAM completion at ", done, " beats the CL + burst "
+                   "floor from ", now);
     ch.busFreeAt = done;
 
     // The bank can accept its next CAS tCCD after this one; writes
@@ -178,18 +182,9 @@ DramController::issue(Channel &ch, std::size_t idx)
                     std::hex, p.req.addr, std::dec, " bank=", q.bank,
                     " done@", done);
 
-    if (p.req.reply) {
-        // Channel wiring: the finished request travels back through
-        // the requester's reply channel, which schedules the same
-        // single completion event the direct form below does.
-        sim::Channel<MemoryRequest> *reply = p.req.reply;
-        p.req.reply = nullptr;
-        reply->sendAt(done, std::move(p.req));
-    } else {
-        eq_.schedule(done, [req = std::move(p.req)]() mutable {
-            req.complete();
-        });
-    }
+    eq_.schedule(done, [req = std::move(p.req)]() mutable {
+        req.complete();
+    });
     ch.freeSlots.push_back(q.slot);
 }
 

@@ -13,18 +13,7 @@
 #include "sim/inline_function.hh"
 #include "sim/ticks.hh"
 
-namespace gpuwalk::sim {
-template <typename Msg>
-class Channel;
-} // namespace gpuwalk::sim
-
 namespace gpuwalk::mem {
-
-struct MemoryRequest;
-
-/** Channel carrying completed memory requests back across a domain
- *  boundary (sim/port.hh). */
-using MemoryReplyChannel = sim::Channel<MemoryRequest>;
 
 /**
  * An asynchronous memory request.
@@ -64,15 +53,6 @@ struct MemoryRequest
      * callables — e.g. owning a moved-in request — are fine.
      */
     sim::InlineFunction<void()> onComplete;
-
-    /**
-     * When set, the completing device sends the finished request back
-     * through this channel instead of invoking onComplete directly, so
-     * the callback runs in the requester's domain. Stamped by the
-     * request-side channel adapter (mem/channel_port.hh) as the
-     * request crosses into the memory domain; null for direct wiring.
-     */
-    MemoryReplyChannel *reply = nullptr;
 
     void
     complete()

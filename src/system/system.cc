@@ -17,54 +17,12 @@ System::System(const SystemConfig &cfg)
                    "event loop; run independent points in parallel with "
                    "--jobs instead");
     addressSpace_ = std::make_unique<vm::AddressSpace>(store_, frames_);
-    channelTranslation_ = !cfg_.translationInterposer;
 
-    // The channel wiring table: every call crossing a latency boundary
-    // becomes a typed channel carrying its fixed link latency. The
-    // minimum latency is the floor sendAt() asserts:
-    //  - TLB hierarchy -> IOMMU: the off-chip hop (hoisted out of
-    //    Iommu::translate onto the link).
-    //  - IOMMU -> TLB replies: walk completions return same-tick.
-    //  - requests into DRAM: handed over same-tick (the caller already
-    //    paid its own cache latency).
-    //  - DRAM replies: nothing completes faster than CAS + burst.
-    const sim::Tick hop = cfg_.iommu.hopLatency;
-    const sim::Tick dramFloor = cfg_.dram.cl() + cfg_.dram.burst();
-    chTranslate_ = std::make_unique<sim::Channel<tlb::TranslationRequest>>(
-        "tlb_to_iommu", hop);
-    chTransReply_ = std::make_unique<tlb::TranslationReplyChannel>(
-        "iommu_to_tlb", 0);
-    chGpuMem_ = std::make_unique<sim::Channel<mem::MemoryRequest>>(
-        "l2d_to_dram", 0);
-    chMemReplyGpu_ = std::make_unique<mem::MemoryReplyChannel>(
-        "dram_to_l2d", dramFloor);
-    chWalkMem_ = std::make_unique<sim::Channel<mem::MemoryRequest>>(
-        "walk_to_dram", 0);
-    chMemReplyIommu_ = std::make_unique<mem::MemoryReplyChannel>(
-        "dram_to_walk", dramFloor);
-    for (sim::ChannelBase *ch : channels())
-        ch->bind(eq_);
-
-    transPort_ =
-        std::make_unique<tlb::ChannelTranslationPort>(*chTranslate_);
-    gpuMemPort_ = std::make_unique<mem::ChannelMemoryPort>(
-        *chGpuMem_, *chMemReplyGpu_);
-    walkMemPort_ = std::make_unique<mem::ChannelMemoryPort>(
-        *chWalkMem_, *chMemReplyIommu_);
-
+    // Components are wired by direct calls on the one event loop; the
+    // boundaries' fixed latencies live in the callees (the off-chip hop
+    // in Iommu::translate, CAS + burst in DramController::issue).
     dram_ = std::make_unique<mem::DramController>(eq_, cfg_.dram);
-    chGpuMem_->onDeliver(
-        [this](mem::MemoryRequest &&m) { dram_->access(std::move(m)); });
-    chWalkMem_->onDeliver(
-        [this](mem::MemoryRequest &&m) { dram_->access(std::move(m)); });
-    chMemReplyGpu_->onDeliver([](mem::MemoryRequest &&m) { m.complete(); });
-    chMemReplyIommu_->onDeliver(
-        [](mem::MemoryRequest &&m) { m.complete(); });
-    chTransReply_->onDeliver([](tlb::TranslationReply &&m) {
-        m.req.complete(m.paPage, m.largePage);
-    });
-
-    l2d_ = std::make_unique<mem::Cache>(eq_, cfg_.l2d, *gpuMemPort_);
+    l2d_ = std::make_unique<mem::Cache>(eq_, cfg_.l2d, *dram_);
 
     // Page walks fetch PTEs through the CPU-complex walk path — the
     // IOMMU sits in the CPU complex, not behind the GPU's caches.
@@ -74,7 +32,7 @@ System::System(const SystemConfig &cfg)
                                                cfg_.schedulerSeed,
                                                cfg_.simt, cfg_.qos);
     iommu_ = std::make_unique<iommu::Iommu>(
-        eq_, cfg_.iommu, std::move(scheduler), *walkMemPort_, store_,
+        eq_, cfg_.iommu, std::move(scheduler), *dram_, store_,
         addressSpace_->pageTable().root());
 
     if (cfg_.gmmu.enabled) {
@@ -88,16 +46,8 @@ System::System(const SystemConfig &cfg)
         iommu_->attachGmmu(gmmu_.get());
     }
 
-    tlb::TranslationService *translation = nullptr;
-    if (channelTranslation_) {
-        iommu_->setReplyChannel(chTransReply_.get());
-        chTranslate_->onDeliver([this](tlb::TranslationRequest &&r) {
-            iommu_->deliverTranslate(std::move(r));
-        });
-        translation = transPort_.get();
-    } else {
-        // Test-only direct wiring: the interposer sits between the TLB
-        // hierarchy and the IOMMU, which pays the hop latency itself.
+    tlb::TranslationService *translation = iommu_.get();
+    if (cfg_.translationInterposer) {
         translation = cfg_.translationInterposer(eq_, *iommu_);
         GPUWALK_ASSERT(translation != nullptr,
                        "translation interposer returned nullptr");
@@ -146,85 +96,41 @@ System::System(const SystemConfig &cfg)
         dram_->registerInvariants(*auditor_);
         gpu_->registerInvariants(*auditor_);
         registerSystemInvariants();
-        registerChannelInvariants();
         auditEvent_.sys = this;
     }
-}
-
-std::vector<sim::ChannelBase *>
-System::channels()
-{
-    return {chTranslate_.get(),  chTransReply_.get(),
-            chGpuMem_.get(),     chMemReplyGpu_.get(),
-            chWalkMem_.get(),    chMemReplyIommu_.get()};
 }
 
 void
 System::registerSystemInvariants()
 {
-    if (channelTranslation_) {
-        // Cross-component identity through the channel: the hierarchy's
-        // forward counter moves with the channel's send counter in the
-        // same synchronous call, and the IOMMU's receive counter moves
-        // with the delivery — so both pairs agree at any instant, and
-        // the link itself must conserve (nothing injected, nothing
-        // swallowed, nothing left in flight at drain).
-        auditor_->registerInvariant(
-            "system.translation_conservation",
-            [this](sim::AuditContext &ctx) {
-                ctx.require(tlbs_->iommuRequests() == chTranslate_->sent(),
-                            "TLB hierarchy forwarded ",
-                            tlbs_->iommuRequests(),
-                            " requests but the channel accepted ",
-                            chTranslate_->sent());
-                ctx.require(iommu_->requests() == chTranslate_->delivered(),
-                            "channel delivered ",
-                            chTranslate_->delivered(),
-                            " requests but the IOMMU received ",
-                            iommu_->requests());
-                if (ctx.final()) {
-                    ctx.require(chTranslate_->sent()
-                                    == chTranslate_->delivered(),
-                                chTranslate_->sent()
-                                    - chTranslate_->delivered(),
-                                " translation requests still in flight"
-                                " at drain");
-                }
-            });
-        // Reply conservation: every reply answers a received request.
-        // Prefetch completions must short-circuit to TLB fills only —
-        // a synthetic reply for a request no coalescer made would push
-        // sent() past requests() and trip this.
-        auditor_->registerInvariant(
-            "system.reply_conservation",
-            [this](sim::AuditContext &ctx) {
-                ctx.require(chTransReply_->sent() <= iommu_->requests(),
-                            "IOMMU sent ", chTransReply_->sent(),
-                            " replies for only ", iommu_->requests(),
-                            " received requests");
-                if (ctx.final()) {
-                    ctx.require(chTransReply_->sent()
-                                    == iommu_->requests(),
-                                iommu_->requests()
-                                    - chTransReply_->sent(),
-                                " requests never answered at drain");
-                }
-            });
-    } else {
-        // Direct wiring (interposer): the forward and receive counters
-        // move in the same synchronous call, so they must agree at any
-        // instant — unless something sits between the two and injects
-        // or swallows requests.
-        auditor_->registerInvariant(
-            "system.translation_conservation",
-            [this](sim::AuditContext &ctx) {
-                ctx.require(tlbs_->iommuRequests() == iommu_->requests(),
-                            "TLB hierarchy forwarded ",
-                            tlbs_->iommuRequests(),
-                            " requests but the IOMMU received ",
-                            iommu_->requests());
-            });
-    }
+    // The hierarchy's forward counter and the IOMMU's receive counter
+    // move in the same synchronous call, so they must agree at any
+    // instant — unless something between the two (a test interposer)
+    // injects or swallows requests.
+    auditor_->registerInvariant(
+        "system.translation_conservation",
+        [this](sim::AuditContext &ctx) {
+            ctx.require(tlbs_->iommuRequests() == iommu_->requests(),
+                        "TLB hierarchy forwarded ", tlbs_->iommuRequests(),
+                        " requests but the IOMMU received ",
+                        iommu_->requests());
+        });
+    // Reply conservation: every reply answers a received request.
+    // Prefetch completions must short-circuit to TLB fills only — a
+    // synthetic reply for a request no coalescer made would push
+    // replies() past requests() and trip this.
+    auditor_->registerInvariant(
+        "system.reply_conservation", [this](sim::AuditContext &ctx) {
+            ctx.require(iommu_->replies() <= iommu_->requests(),
+                        "IOMMU sent ", iommu_->replies(),
+                        " replies for only ", iommu_->requests(),
+                        " received requests");
+            if (ctx.final()) {
+                ctx.require(iommu_->replies() == iommu_->requests(),
+                            iommu_->requests() - iommu_->replies(),
+                            " requests never answered at drain");
+            }
+        });
 
     // Events-executed stays monotone.
     auditor_->registerInvariant(
@@ -236,25 +142,6 @@ System::registerSystemInvariants()
                         executed);
             last = executed;
         });
-}
-
-void
-System::registerChannelInvariants()
-{
-    for (sim::ChannelBase *ch : channels()) {
-        auditor_->registerInvariant(
-            "channel." + ch->name() + ".conservation",
-            [ch](sim::AuditContext &ctx) {
-                const std::uint64_t delivered = ch->delivered();
-                const std::uint64_t sent = ch->sent();
-                ctx.require(delivered <= sent, "delivered ", delivered,
-                            " messages but only ", sent, " were sent");
-                if (!ctx.final())
-                    return;
-                ctx.require(sent == delivered, sent - delivered,
-                            " messages lost in flight at drain");
-            });
-    }
 }
 
 void

@@ -96,14 +96,16 @@ struct SystemConfig
     sim::AuditConfig audit;
 
     /**
-     * Test-only extension point: when set, the System routes the TLB
-     * hierarchy's miss path through the TranslationService this
-     * returns instead of the IOMMU directly (which is passed in,
-     * along with the system event queue). The fault-injection tests
-     * use it to misbehave at the TLB↔IOMMU boundary inside an
-     * otherwise-real System. The caller keeps ownership of the
-     * returned service, which must outlive the System. Excluded from
-     * print().
+     * Test-only extension point. The TLB hierarchy's miss path calls
+     * the IOMMU directly; when this is set, the System calls it with
+     * the system event queue and the IOMMU and hands the hierarchy the
+     * TranslationService it returns instead. The interposer forwards
+     * to that same IOMMU, which still pays the hop latency in
+     * Iommu::translate, so the path below it is the production path.
+     * The fault-injection tests use it to misbehave at the TLB↔IOMMU
+     * boundary inside an otherwise-real System. The caller keeps
+     * ownership of the returned service, which must outlive the
+     * System. Excluded from print().
      */
     std::function<tlb::TranslationService *(sim::EventQueue &,
                                             tlb::TranslationService &)>

@@ -595,6 +595,31 @@ TEST(SystemAuditFault, DuplicatedRequestFiresTranslationConservation)
                              "system.translation_conservation"));
 }
 
+TEST(SystemAuditFault, TruncatedRunFiresReplyConservation)
+{
+    // Stop a real run while the first translation requests are still
+    // crossing the hop to the IOMMU: they are received but unanswered,
+    // which the periodic bound tolerates and the final check does not.
+    auto cfg = system::SystemConfig::baseline();
+    cfg.audit.enabled = true;
+    system::System sys(cfg);
+    sys.loadBenchmark("KMN", tinySystemParams());
+
+    sys.gpu().start();
+    for (int i = 0; i < 100'000 && sys.iommu().requests() == 0; ++i)
+        ASSERT_TRUE(sys.eventQueue().runOne());
+    ASSERT_FALSE(sys.gpu().done());
+    ASSERT_GT(sys.iommu().requests(), sys.iommu().replies());
+    ASSERT_NE(sys.auditor(), nullptr);
+
+    sys.auditor()->check(AuditPhase::Periodic, sys.eventQueue().now());
+    EXPECT_FALSE(hasViolation(sys.auditor()->violations(),
+                              "system.reply_conservation"));
+    sys.auditor()->check(AuditPhase::Final, sys.eventQueue().now());
+    EXPECT_TRUE(hasViolation(sys.auditor()->violations(),
+                             "system.reply_conservation"));
+}
+
 TEST(SystemAuditFault, DelayedResponseIsTheNegativeControl)
 {
     // Conservation is timing-independent: delivering one response two

@@ -6,7 +6,7 @@
  * Tenant churn (mid-run arrivals) plus ASID-tagged shared caches is
  * the state most likely to leak nondeterminism: late workload loads
  * are scheduled mid-run, and per-tenant accounting rides the same
- * channels as everything else. These tests run reference tenant mixes
+ * event loop as everything else. These tests run reference tenant mixes
  * under both QoS schedulers repeatedly and as concurrent same-process
  * runs (the --jobs axis), demanding byte-identical trace digests and
  * stats JSON, with the conservation auditor on throughout. The 2- and
