@@ -23,7 +23,7 @@ main(int argc, char **argv)
     const char *desc = "4 KB base pages vs 2 MB large pages";
     const auto opts = exp::parseBenchArgs(argc, argv, id, desc);
 
-    exp::SweepSpec spec;
+    exp::SweepSpec spec(opts.base);
     spec.workloads = workload::irregularWorkloadNames();
     spec.schedulers = {core::SchedulerKind::Fcfs,
                        core::SchedulerKind::SimtAware};
@@ -35,7 +35,7 @@ main(int argc, char **argv)
              params.useLargePages = true;
          }},
     };
-    const auto result = exp::runSweep(spec, opts.runner);
+    const auto result = exp::runSweep(spec, opts.jobs);
 
     exp::Report report(id, desc, spec.base);
     auto &table = report.addTable(

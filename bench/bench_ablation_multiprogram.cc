@@ -62,7 +62,7 @@ main(int argc, char **argv)
         {"MVT", "HOT"}, {"GEV", "KMN"}, {"XSB", "BCK"}};
 
     // Solo FCFS reference runs at the co-run wavefront count.
-    exp::SweepSpec solo;
+    exp::SweepSpec solo(opts.base);
     solo.params.wavefronts = 128;
     solo.workloads = {"MVT", "HOT", "GEV", "KMN", "XSB", "BCK"};
     solo.schedulers = {core::SchedulerKind::Fcfs};
@@ -74,7 +74,7 @@ main(int argc, char **argv)
               core::SchedulerKind::FairShare})
             jobs.push_back(corunJob(solo.base, kind, aggressor,
                                     victim));
-    const auto result = exp::runJobs(jobs, opts.runner);
+    const auto result = exp::runJobs(jobs, opts.jobs);
 
     exp::Report report(id, desc, solo.base);
     auto &table = report.addTable({"pair", "victim:fcfs",

@@ -34,12 +34,12 @@ main(int argc, char **argv)
         core::SchedulerKind::FairShare,
     };
 
-    exp::SweepSpec spec;
+    exp::SweepSpec spec(opts.base);
     spec.workloads = workload::irregularWorkloadNames();
     spec.schedulers = {core::SchedulerKind::Fcfs};
     spec.schedulers.insert(spec.schedulers.end(), kinds.begin(),
                            kinds.end());
-    const auto result = exp::runSweep(spec, opts.runner);
+    const auto result = exp::runSweep(spec, opts.jobs);
 
     std::vector<std::string> header{"app"};
     for (auto k : kinds)

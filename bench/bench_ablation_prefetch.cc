@@ -58,8 +58,7 @@ main(int argc, char **argv)
     // scheduler never overrides its batch/SJF pick.
     constexpr std::uint64_t noAgingThreshold = ~std::uint64_t(0);
 
-    exp::SweepSpec spec;
-    spec.base = system::SystemConfig::baseline();
+    exp::SweepSpec spec(opts.base);
     spec.workloads = workload::allWorkloadNames();
     spec.schedulers = {core::SchedulerKind::Fcfs,
                        core::SchedulerKind::SimtAware};
@@ -91,7 +90,7 @@ main(int argc, char **argv)
                  cfg.iommu.specAdmission = iommu::SpecAdmission::Budget;
              }});
     }
-    const auto result = exp::runSweep(spec, opts.runner);
+    const auto result = exp::runSweep(spec, opts.jobs);
 
     exp::Report report(id, desc, spec.base);
 

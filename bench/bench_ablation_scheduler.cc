@@ -21,14 +21,14 @@ main(int argc, char **argv)
     const auto opts = exp::parseBenchArgs(argc, argv, id, desc);
 
     // Main grid: every irregular app under the decomposed schedulers.
-    exp::SweepSpec spec;
+    exp::SweepSpec spec(opts.base);
     spec.workloads = workload::irregularWorkloadNames();
     spec.schedulers = {
         core::SchedulerKind::Fcfs, core::SchedulerKind::SjfOnly,
         core::SchedulerKind::BatchOnly, core::SchedulerKind::SimtAware};
 
     // Design-subtlety ablations on MVT, run in the same pool.
-    exp::SweepSpec subtle;
+    exp::SweepSpec subtle(opts.base);
     subtle.workloads = {"MVT"};
     subtle.schedulers = {core::SchedulerKind::SimtAware};
     subtle.variants = {
@@ -43,7 +43,7 @@ main(int argc, char **argv)
     };
 
     const auto result = exp::runJobs(
-        exp::concat(spec.expand(), subtle.expand()), opts.runner);
+        exp::concat(spec.expand(), subtle.expand()), opts.jobs);
 
     exp::Report report(id, desc, spec.base);
     auto &table = report.addTable(

@@ -21,7 +21,7 @@ main(int argc, char **argv)
                        "virtual L1s (translate-on-miss)";
     const auto opts = exp::parseBenchArgs(argc, argv, id, desc);
 
-    exp::SweepSpec spec;
+    exp::SweepSpec spec(opts.base);
     spec.workloads = workload::irregularWorkloadNames();
     spec.schedulers = {core::SchedulerKind::Fcfs,
                        core::SchedulerKind::SimtAware};
@@ -32,7 +32,7 @@ main(int argc, char **argv)
              cfg.gpu.virtualL1Cache = true;
          }},
     };
-    const auto result = exp::runSweep(spec, opts.runner);
+    const auto result = exp::runSweep(spec, opts.jobs);
 
     exp::Report report(id, desc, spec.base);
     auto &table = report.addTable(

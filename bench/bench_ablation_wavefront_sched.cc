@@ -37,7 +37,7 @@ main(int argc, char **argv)
         iommu::PrefetchKind::Spp};
     constexpr const char *wfNames[] = {"rr", "wasp"};
 
-    exp::SweepSpec spec;
+    exp::SweepSpec spec(opts.base);
     spec.workloads = workload::irregularWorkloadNames();
     spec.schedulers = {core::SchedulerKind::Fcfs,
                        core::SchedulerKind::SimtAware};
@@ -66,7 +66,7 @@ main(int argc, char **argv)
                  }});
         }
     }
-    const auto result = exp::runSweep(spec, opts.runner);
+    const auto result = exp::runSweep(spec, opts.jobs);
 
     exp::Report report(id, desc, spec.base);
 

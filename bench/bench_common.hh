@@ -3,9 +3,10 @@
  * Shared helpers for the per-figure experiment binaries.
  *
  * Every bench declares a SweepSpec (workloads x schedulers x config
- * variants), executes it on the ParallelRunner (--jobs), and maps the
- * results into a Report: the paper-figure console table plus optional
- * structured JSON (--json). The paper's (approximate,
+ * variants) over the base config its flags describe (opts.base from
+ * exp::parseBenchArgs), executes it on the ParallelRunner (--jobs),
+ * and maps the results into a Report: the paper-figure console table
+ * plus optional structured JSON (--json). The paper's (approximate,
  * eyeballed-from-figure) values are printed next to ours for easy
  * comparison; EXPERIMENTS.md records the full paper-vs-measured
  * discussion.

@@ -20,12 +20,12 @@ main(int argc, char **argv)
         "random scheduler)";
     const auto opts = exp::parseBenchArgs(argc, argv, id, desc);
 
-    exp::SweepSpec spec;
+    exp::SweepSpec spec(opts.base);
     spec.workloads = workload::motivationWorkloadNames();
     spec.schedulers = {core::SchedulerKind::Random,
                        core::SchedulerKind::Fcfs,
                        core::SchedulerKind::SimtAware};
-    const auto result = exp::runSweep(spec, opts.runner);
+    const auto result = exp::runSweep(spec, opts.jobs);
 
     // Approximate values eyeballed from the paper's Figure 2 bars.
     const std::map<std::string, std::pair<double, double>> paper{

@@ -20,10 +20,10 @@ main(int argc, char **argv)
                        "distribution (FCFS)";
     const auto opts = exp::parseBenchArgs(argc, argv, id, desc);
 
-    exp::SweepSpec spec;
+    exp::SweepSpec spec(opts.base);
     spec.workloads = workload::motivationWorkloadNames();
     spec.schedulers = {core::SchedulerKind::Fcfs};
-    const auto result = exp::runSweep(spec, opts.runner);
+    const auto result = exp::runSweep(spec, opts.jobs);
 
     exp::Report report(id, desc, spec.base);
     auto &table = report.addTable({"app", "1-16", "17-32", "33-48",

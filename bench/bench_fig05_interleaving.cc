@@ -17,10 +17,10 @@ main(int argc, char **argv)
                        "interleaved walk service (FCFS)";
     const auto opts = exp::parseBenchArgs(argc, argv, id, desc);
 
-    exp::SweepSpec spec;
+    exp::SweepSpec spec(opts.base);
     spec.workloads = workload::motivationWorkloadNames();
     spec.schedulers = {core::SchedulerKind::Fcfs};
-    const auto result = exp::runSweep(spec, opts.runner);
+    const auto result = exp::runSweep(spec, opts.jobs);
 
     // Approximate bar heights from the paper's Figure 5.
     const std::map<std::string, double> paper{

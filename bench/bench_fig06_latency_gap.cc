@@ -16,10 +16,10 @@ main(int argc, char **argv)
                        "instruction (FCFS, normalized to first)";
     const auto opts = exp::parseBenchArgs(argc, argv, id, desc);
 
-    exp::SweepSpec spec;
+    exp::SweepSpec spec(opts.base);
     spec.workloads = workload::motivationWorkloadNames();
     spec.schedulers = {core::SchedulerKind::Fcfs};
-    const auto result = exp::runSweep(spec, opts.runner);
+    const auto result = exp::runSweep(spec, opts.jobs);
 
     // Approximate last/first ratios from the paper's Figure 6.
     const std::map<std::string, double> paper{

@@ -17,11 +17,11 @@ main(int argc, char **argv)
         "Speedup of SIMT-aware walk scheduling over FCFS";
     const auto opts = exp::parseBenchArgs(argc, argv, id, desc);
 
-    exp::SweepSpec spec;
+    exp::SweepSpec spec(opts.base);
     spec.workloads = workload::allWorkloadNames();
     spec.schedulers = {core::SchedulerKind::Fcfs,
                        core::SchedulerKind::SimtAware};
-    const auto result = exp::runSweep(spec, opts.runner);
+    const auto result = exp::runSweep(spec, opts.jobs);
 
     // Approximate bar heights from the paper's Figure 8.
     const std::map<std::string, double> paper{

@@ -16,11 +16,11 @@ main(int argc, char **argv)
                        "(normalized to FCFS)";
     const auto opts = exp::parseBenchArgs(argc, argv, id, desc);
 
-    exp::SweepSpec spec;
+    exp::SweepSpec spec(opts.base);
     spec.workloads = workload::allWorkloadNames();
     spec.schedulers = {core::SchedulerKind::Fcfs,
                        core::SchedulerKind::SimtAware};
-    const auto result = exp::runSweep(spec, opts.runner);
+    const auto result = exp::runSweep(spec, opts.jobs);
 
     const std::map<std::string, double> paper{
         {"XSB", 0.80}, {"MVT", 0.74}, {"ATX", 0.75}, {"NW", 0.85},

@@ -17,11 +17,11 @@ main(int argc, char **argv)
                        "(normalized to FCFS)";
     const auto opts = exp::parseBenchArgs(argc, argv, id, desc);
 
-    exp::SweepSpec spec;
+    exp::SweepSpec spec(opts.base);
     spec.workloads = workload::irregularWorkloadNames();
     spec.schedulers = {core::SchedulerKind::Fcfs,
                        core::SchedulerKind::SimtAware};
-    const auto result = exp::runSweep(spec, opts.runner);
+    const auto result = exp::runSweep(spec, opts.jobs);
 
     const std::map<std::string, double> paper{
         {"XSB", 0.85}, {"MVT", 0.75}, {"ATX", 0.78},

@@ -34,7 +34,7 @@ main(int argc, char **argv)
         {"(c) 1024 L2 TLB, 16 walkers", 1024, 16, 1.053},
     };
 
-    exp::SweepSpec spec;
+    exp::SweepSpec spec(opts.base);
     spec.workloads = workload::irregularWorkloadNames();
     spec.schedulers = {core::SchedulerKind::Fcfs,
                        core::SchedulerKind::SimtAware};
@@ -48,7 +48,7 @@ main(int argc, char **argv)
                  cfg.iommu.numWalkers = walkers;
              }});
     }
-    const auto result = exp::runSweep(spec, opts.runner);
+    const auto result = exp::runSweep(spec, opts.jobs);
 
     exp::Report report(id, desc, spec.base);
     for (const auto &v : variants) {

@@ -31,7 +31,7 @@ main(int argc, char **argv)
         {"(b) 512-entry IOMMU buffer", 512, 1.50},
     };
 
-    exp::SweepSpec spec;
+    exp::SweepSpec spec(opts.base);
     spec.workloads = workload::irregularWorkloadNames();
     spec.schedulers = {core::SchedulerKind::Fcfs,
                        core::SchedulerKind::SimtAware};
@@ -43,7 +43,7 @@ main(int argc, char **argv)
                  cfg.iommu.bufferEntries = buffer;
              }});
     }
-    const auto result = exp::runSweep(spec, opts.runner);
+    const auto result = exp::runSweep(spec, opts.jobs);
 
     exp::Report report(id, desc, spec.base);
     for (const auto &v : variants) {

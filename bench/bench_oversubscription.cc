@@ -41,7 +41,7 @@ main(int argc, char **argv)
     // eviction and re-faulting genuinely engage.
     const std::vector<double> ratios{1.0, 0.25, 0.10};
 
-    exp::SweepSpec spec;
+    exp::SweepSpec spec(opts.base);
     spec.workloads = apps;
     spec.schedulers = scheds;
     // Variant-applied GMMU settings override the base wholesale for
@@ -61,7 +61,7 @@ main(int argc, char **argv)
                  cfg.gmmu.oversubscription = r;
              }});
     }
-    const auto result = exp::runSweep(spec, opts.runner);
+    const auto result = exp::runSweep(spec, opts.jobs);
 
     exp::Report report(id, desc, spec.base);
     auto &table = report.addTable({"app", "scheduler", "ratio",

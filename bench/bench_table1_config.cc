@@ -20,7 +20,7 @@ main(int argc, char **argv)
                        "the paper specifies, reproduced verbatim)";
     const auto opts = exp::parseBenchArgs(argc, argv, id, desc);
 
-    const auto cfg = system::SystemConfig::baseline();
+    const auto &cfg = opts.base;
     exp::Report report(id, desc, cfg);
 
     std::ostringstream implicit;

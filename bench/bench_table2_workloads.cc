@@ -21,7 +21,7 @@ main(int argc, char **argv)
     const char *desc = "GPU benchmarks and their memory footprints";
     const auto opts = exp::parseBenchArgs(argc, argv, id, desc);
 
-    exp::SweepSpec spec;
+    exp::SweepSpec spec(opts.base);
     spec.workloads = workload::allWorkloadNames();
     // No simulation: each job only builds the benchmark's address
     // space and measures the eagerly mapped footprint.
@@ -38,7 +38,7 @@ main(int argc, char **argv)
             / (1024.0 * 1024.0);
         return res;
     };
-    const auto result = exp::runJobs(spec.expand(), opts.runner);
+    const auto result = exp::runJobs(spec.expand(), opts.jobs);
 
     exp::Report report(id, desc);
     auto &table = report.addTable({"Benchmark", "Class",

@@ -60,26 +60,10 @@ mixJob(const system::SystemConfig &base,
     exp::Job job;
     job.workload = "mix8";
     job.scheduler = core::toString(kind);
-    auto cfg = exp::withScheduler(base, kind);
-    // Tenant i receives ContextId i, so spec weights map directly
-    // onto the per-ContextId weight table.
-    for (unsigned i = 0; i < specs.size(); ++i) {
-        if (specs[i].weight > 1) {
-            cfg.qos.shareWeights.resize(specs.size(), 1);
-            cfg.qos.shareWeights[i] = specs[i].weight;
-        }
-    }
+    const auto cfg = exp::withScheduler(base, kind);
     job.body = [cfg, specs] {
-        system::System sys(cfg);
-        for (unsigned i = 0; i < specs.size(); ++i) {
-            const auto ctx =
-                i == 0 ? tlb::defaultContext : sys.createContext();
-            sys.loadBenchmarkInContext(specs[i].workload,
-                                       specs[i].params, /*app_id=*/i,
-                                       ctx, specs[i].arrivalTick);
-        }
         exp::RunResult res;
-        res.stats = sys.run();
+        res.stats = system::makeTenantSystem(cfg, specs)->run();
         for (const auto &t : res.stats.tenants) {
             res.extra["tenant" + std::to_string(t.ctx) + "_finish"] =
                 static_cast<double>(t.finishTick);
@@ -121,23 +105,16 @@ main(int argc, char **argv)
         core::SchedulerKind::TokenBucket,
         core::SchedulerKind::WeightedShare};
 
-    auto base = system::SystemConfig::baseline();
-    // Hand-built job bodies capture their config, so the common
-    // --audit / --trace-out instrumentation flags are applied here
-    // rather than by runSweep.
-    base.trace = opts.runner.trace;
-    base.audit = opts.runner.audit;
-
     const auto specs = workload::generateTenantMix(referenceMix());
 
     std::vector<exp::Job> jobs;
     for (unsigned i = 0; i < specs.size(); ++i)
-        jobs.push_back(soloJob(base, specs[i], i));
+        jobs.push_back(soloJob(opts.base, specs[i], i));
     for (const auto kind : policies)
-        jobs.push_back(mixJob(base, specs, kind));
-    const auto result = exp::runJobs(jobs, opts.runner);
+        jobs.push_back(mixJob(opts.base, specs, kind));
+    const auto result = exp::runJobs(jobs, opts.jobs);
 
-    exp::Report report(id, desc, base);
+    exp::Report report(id, desc, opts.base);
     auto &table = report.addTable(
         {"tenant", "workload", "weight", "slow:fcfs", "slow:simt",
          "slow:token", "slow:wfq"},

@@ -2,7 +2,7 @@
 # Tier-1 verification: configure, build, run the full test suite,
 # repeat the determinism tests on every core, then smoke one bench
 # through the parallel runner and sanity-check its structured JSON
-# output.
+# output, and gate an audited bench on zero violations.
 # Usage: scripts/check.sh [build-dir]
 set -e
 
@@ -42,5 +42,13 @@ print("JSON sanity ok:", len(doc["runs"]), "runs,",
       "fingerprint", doc["config_fingerprint"],
       "git", doc["git_sha"])
 EOF
+
+# Audit gate on a bench that builds its jobs by hand rather than
+# through a SweepSpec (the CI audit job runs the same gate).
+AUDIT_JSON=/tmp/multiprogram_audit.json
+rm -f "$AUDIT_JSON"
+"$BUILD"/bench/bench_ablation_multiprogram --jobs 2 --audit \
+    --json "$AUDIT_JSON"
+python3 "$ROOT"/scripts/check_audited.py "$AUDIT_JSON"
 
 echo "check.sh: all green"

@@ -1,5 +1,8 @@
 #include "exp/bench_cli.hh"
 
+#include <algorithm>
+#include <cctype>
+#include <cerrno>
 #include <cstdlib>
 #include <iostream>
 
@@ -7,266 +10,299 @@
 
 namespace gpuwalk::exp {
 
-namespace {
-
-[[noreturn]] void
-printHelp(const std::string &id, const std::string &description)
+std::vector<Flag>
+configFlags(system::SystemConfig &cfg)
 {
-    std::cout << id << ": " << description << "\n\n"
-              << "Flags:\n"
-              << "  --jobs N     worker threads for the sweep "
-                 "(default: all hardware threads;\n"
-              << "               1 = serial reference execution)\n"
-              << "  --json PATH  write structured results (per-run "
-                 "stats, summary scalars,\n"
-              << "               config fingerprint, git sha, wall "
-                 "time) as JSON\n"
-              << "  --trace-out PATH  record walk-lifecycle traces and "
-                 "write one Chrome\n"
-              << "               trace_event JSON per run, uniquified "
-                 "from PATH\n"
-              << "               (load in chrome://tracing or "
-                 "ui.perfetto.dev)\n"
-              << "  --trace-ring N  trace ring-buffer capacity in "
-                 "events (default 1Mi)\n"
-              << "  --audit      enable conservation auditing: every "
-                 "run's invariants are\n"
-              << "               checked at teardown and violations "
-                 "land in the JSON output\n"
-              << "  --audit-interval N  additionally check every N "
-                 "ticks during the run\n"
-              << "               (implies --audit)\n"
-              << "  --oversubscription R  demand paging: pages fault "
-                 "in on first touch and\n"
-              << "               resident frames are capped at R x the "
-                 "workload footprint\n"
-              << "               (R <= 1; R < 1 forces eviction)\n"
-              << "  --fault-latency N  host interrupt + runtime cost "
-                 "per fault batch, in\n"
-              << "               ticks (default 2000000; implies "
-                 "--oversubscription 1.0)\n"
-              << "  --migration-latency N  per-page CPU-GPU transfer "
-                 "cost in ticks\n"
-              << "               (default 400000)\n"
-              << "  --fault-policy P  fault service order within the "
-                 "GMMU: fcfs | sjf\n"
-              << "  --gmmu-batch N  max faults serviced per host round "
-                 "trip (default 8)\n"
-              << "  --gmmu-evict P  victim policy at the frame cap: "
-                 "lru | random\n"
-              << "  --no-contiguity  disable the 2 MB contiguity "
-                 "reservation + promotion\n"
-              << "  --prefetch P  translation prefetch policy applied "
-                 "to every run:\n"
-              << "               off (default) | next (next-page) | "
-                 "spp (signature-path\n"
-              << "               lookahead)\n"
-              << "  --prefetch-degree N  max speculative walks per "
-                 "trigger (default 4)\n"
-              << "  --wasp       Wasp wavefront scheduling applied to "
-                 "every run: leader\n"
-              << "               slots issue ahead and their walks are "
-                 "classed speculative\n"
-              << "  --wasp-leaders N  leader slots per CU (default 1; "
-                 "implies --wasp)\n"
-              << "  --wasp-distance N  followers' first-issue delay in "
-                 "cycles\n"
-              << "               (default 2048; implies --wasp)\n"
-              << "  --spec-admission P  speculative-walk admission: "
-                 "idle (default) |\n"
-              << "               budget (tokens per window)\n"
-              << "  --help       this text\n";
-    std::exit(0);
+    const auto d = system::SystemConfig::baseline();
+    const auto wasp = [&cfg] {
+        cfg.gpu.wavefrontSched = gpu::WavefrontSchedPolicy::Wasp;
+    };
+    return {
+        {"trace-out", "PATH",
+         "record the walk lifecycle as Chrome trace_event\n"
+         "JSON (chrome://tracing, ui.perfetto.dev); benches\n"
+         "write one file per run, uniquified from PATH;\n"
+         "gpuwalk --compare one per scheduler",
+         [&cfg](const std::string &v) {
+             if (v.empty())
+                 sim::fatal("--trace-out needs a file path");
+             cfg.trace.outPath = v;
+             cfg.trace.enabled = true;
+         }},
+        {"trace-ring", "N",
+         "trace ring-buffer capacity in events (default\n"
+             + std::to_string(d.trace.ringCapacity)
+             + "; oldest events drop first)",
+         [&cfg](const std::string &v) {
+             cfg.trace.ringCapacity =
+                 parseUint<std::size_t>("trace-ring", v, true);
+             cfg.trace.enabled = true;
+         }},
+        {"audit", "",
+         "check conservation invariants at teardown;\n"
+         "violations land in the stats (gpuwalk then exits\n"
+         "non-zero)",
+         [&cfg](const std::string &) { cfg.audit.enabled = true; }},
+        {"audit-interval", "N",
+         "additionally check every N ticks during the run\n"
+         "(implies --audit)",
+         [&cfg](const std::string &v) {
+             cfg.audit.interval = parseUint("audit-interval", v, true);
+             cfg.audit.enabled = true;
+         }},
+        {"oversubscription", "R",
+         "demand paging: pages fault in on first touch and\n"
+         "resident frames are capped at R x the footprint\n"
+         "(R in (0,1]; R < 1 forces eviction); every flag\n"
+         "from here to --no-contiguity enables demand paging",
+         [&cfg](const std::string &v) {
+             const double r = parseDouble("oversubscription", v);
+             if (r <= 0.0 || r > 1.0)
+                 sim::fatal("--oversubscription needs a ratio in "
+                            "(0, 1], got '", v, "'");
+             cfg.gmmu.oversubscription = r;
+             cfg.gmmu.enabled = true;
+         }},
+        {"fault-latency", "N",
+         "host interrupt + runtime cost per fault batch,\n"
+         "ticks (default " + std::to_string(d.gmmu.faultLatency) + ")",
+         [&cfg](const std::string &v) {
+             cfg.gmmu.faultLatency = parseUint("fault-latency", v);
+             cfg.gmmu.enabled = true;
+         }},
+        {"migration-latency", "N",
+         "per-page CPU-GPU transfer cost, ticks (default\n"
+             + std::to_string(d.gmmu.migrationLatency) + ")",
+         [&cfg](const std::string &v) {
+             cfg.gmmu.migrationLatency =
+                 parseUint("migration-latency", v);
+             cfg.gmmu.enabled = true;
+         }},
+        {"fault-policy", "P", "fault service order: fcfs | sjf",
+         [&cfg](const std::string &v) {
+             if (v == "fcfs")
+                 cfg.gmmu.order = vm::FaultOrder::Fcfs;
+             else if (v == "sjf")
+                 cfg.gmmu.order = vm::FaultOrder::Sjf;
+             else
+                 sim::fatal("--fault-policy must be fcfs or sjf, got '",
+                            v, "'");
+             cfg.gmmu.enabled = true;
+         }},
+        {"gmmu-batch", "N",
+         "max faults serviced per host round trip\n(default "
+             + std::to_string(d.gmmu.batchSize) + ")",
+         [&cfg](const std::string &v) {
+             cfg.gmmu.batchSize =
+                 parseUint<unsigned>("gmmu-batch", v, true);
+             cfg.gmmu.enabled = true;
+         }},
+        {"gmmu-evict", "P", "victim policy at the frame cap: lru | random",
+         [&cfg](const std::string &v) {
+             if (v == "lru")
+                 cfg.gmmu.evict = vm::EvictPolicy::Lru;
+             else if (v == "random")
+                 cfg.gmmu.evict = vm::EvictPolicy::Random;
+             else
+                 sim::fatal("--gmmu-evict must be lru or random, got '",
+                            v, "'");
+             cfg.gmmu.enabled = true;
+         }},
+        {"no-contiguity", "",
+         "disable the 2 MB contiguity reservation and\n"
+         "promotion",
+         [&cfg](const std::string &) {
+             cfg.gmmu.contiguity = false;
+             cfg.gmmu.enabled = true;
+         }},
+        {"prefetch", "P",
+         "translation prefetch policy: off (default) |\n"
+         "next (next-page) | spp (signature-path\n"
+         "lookahead); a bare --prefetch means next",
+         [&cfg](const std::string &v) {
+             cfg.iommu.prefetch.kind = iommu::prefetchKindFromString(v);
+         },
+         "next"},
+        {"prefetch-degree", "N",
+         "max speculative walks per trigger (default "
+             + std::to_string(d.iommu.prefetch.degree) + ")",
+         [&cfg](const std::string &v) {
+             cfg.iommu.prefetch.degree =
+                 parseUint<unsigned>("prefetch-degree", v, true);
+         }},
+        {"wasp", "", "Wasp wavefront issue (= --wavefront-sched wasp)",
+         [wasp](const std::string &) { wasp(); }},
+        {"wavefront-sched", "P",
+         "CU issue arbitration: rr (default) | gto | wasp\n"
+         "(leader slots issue ahead; their walks are\n"
+         "classed speculative)",
+         [&cfg](const std::string &v) {
+             if (v == "rr")
+                 cfg.gpu.wavefrontSched =
+                     gpu::WavefrontSchedPolicy::RoundRobin;
+             else if (v == "gto")
+                 cfg.gpu.wavefrontSched =
+                     gpu::WavefrontSchedPolicy::OldestFirst;
+             else if (v == "wasp")
+                 cfg.gpu.wavefrontSched = gpu::WavefrontSchedPolicy::Wasp;
+             else
+                 sim::fatal("--wavefront-sched must be rr, gto or wasp, "
+                            "got '", v, "'");
+         }},
+        {"wasp-leaders", "N",
+         "Wasp leader slots per CU (default "
+             + std::to_string(d.gpu.waspLeaders) + "; implies --wasp)",
+         [&cfg, wasp](const std::string &v) {
+             cfg.gpu.waspLeaders =
+                 parseUint<unsigned>("wasp-leaders", v, true);
+             wasp();
+         }},
+        {"wasp-distance", "N",
+         "followers' first-issue delay, cycles (default\n"
+             + std::to_string(d.gpu.waspDistanceCycles)
+             + "; implies --wasp)",
+         [&cfg, wasp](const std::string &v) {
+             cfg.gpu.waspDistanceCycles = parseUint("wasp-distance", v);
+             wasp();
+         }},
+        {"spec-admission", "P",
+         "speculative-walk admission: idle (default) |\n"
+         "budget (tokens per demand-dispatch window)",
+         [&cfg](const std::string &v) {
+             cfg.iommu.specAdmission = iommu::specAdmissionFromString(v);
+         }},
+    };
 }
 
-} // namespace
+void
+parseFlags(int argc, char **argv, const std::vector<Flag> &flags)
+{
+    for (int i = 1; i < argc; ++i) {
+        std::string name = argv[i];
+        if (name.rfind("--", 0) != 0)
+            sim::fatal("unexpected argument '", name,
+                       "' (flags start with --; see --help)");
+        name.erase(0, 2);
+        std::string value;
+        const auto eq = name.find('=');
+        const bool inline_value = eq != std::string::npos;
+        if (inline_value) {
+            value = name.substr(eq + 1);
+            name.resize(eq);
+        }
+        const auto flag =
+            std::find_if(flags.begin(), flags.end(),
+                         [&name](const Flag &f) { return f.name == name; });
+        if (flag == flags.end())
+            sim::fatal("unknown flag --", name, " (see --help)");
+        if (flag->arg.empty()) {
+            if (inline_value)
+                sim::fatal("--", name, " takes no value");
+        } else if (!inline_value) {
+            // "--flag value" spelling: the next argument, unless it is
+            // itself a flag.
+            if (i + 1 < argc
+                && std::string(argv[i + 1]).rfind("--", 0) != 0)
+                value = argv[++i];
+            else if (!flag->bare.empty())
+                value = flag->bare;
+            else
+                sim::fatal("--", name, " needs a value");
+        }
+        flag->apply(value);
+    }
+}
+
+void
+printFlags(std::ostream &os, const std::vector<Flag> &flags)
+{
+    constexpr std::size_t column = 26;
+    for (const auto &flag : flags) {
+        std::string lead = "  --" + flag.name;
+        if (!flag.bare.empty())
+            lead += " [" + flag.arg + "]";
+        else if (!flag.arg.empty())
+            lead += " " + flag.arg;
+        os << lead;
+        if (lead.size() + 2 > column)
+            os << '\n' << std::string(column, ' ');
+        else
+            os << std::string(column - lead.size(), ' ');
+        for (const char c : flag.help) {
+            os << c;
+            if (c == '\n')
+                os << std::string(column, ' ');
+        }
+        os << '\n';
+    }
+}
+
+std::uint64_t
+parseUintAtMost(const std::string &flag, const std::string &value,
+                bool positive, std::uint64_t max)
+{
+    char *end = nullptr;
+    errno = 0;
+    const unsigned long long n = std::strtoull(value.c_str(), &end, 0);
+    if (value.empty() || !std::isdigit(static_cast<unsigned char>(value[0]))
+        || *end != '\0' || (positive && n == 0)) {
+        sim::fatal("--", flag, " needs a ",
+                   positive ? "positive" : "non-negative",
+                   " integer, got '", value, "'");
+    }
+    if (errno == ERANGE || n > max)
+        sim::fatal("--", flag, " needs an integer no larger than ", max,
+                   ", got '", value, "'");
+    return n;
+}
+
+double
+parseDouble(const std::string &flag, const std::string &value)
+{
+    char *end = nullptr;
+    const double x = std::strtod(value.c_str(), &end);
+    if (value.empty() || *end != '\0')
+        sim::fatal("--", flag, " needs a number, got '", value, "'");
+    return x;
+}
 
 BenchOptions
 parseBenchArgs(int argc, char **argv, const std::string &id,
                const std::string &description)
 {
     BenchOptions opts;
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        if (arg.rfind("--", 0) != 0)
-            sim::fatal("unexpected argument '", arg,
-                       "' (flags start with --; see --help)");
-        arg = arg.substr(2);
-
-        std::string value;
-        bool have_value = false;
-        const auto eq = arg.find('=');
-        if (eq != std::string::npos) {
-            value = arg.substr(eq + 1);
-            arg = arg.substr(0, eq);
-            have_value = true;
-        }
-        // "--flag value" spelling: consume the next argument.
-        auto next_value = [&]() -> std::string {
-            if (have_value)
-                return value;
-            if (i + 1 >= argc)
-                sim::fatal("flag --", arg, " needs a value");
-            return argv[++i];
-        };
-
-        if (arg == "help" || arg == "h") {
-            printHelp(id, description);
-        } else if (arg == "jobs") {
-            const std::string v = next_value();
-            char *end = nullptr;
-            const unsigned long n = std::strtoul(v.c_str(), &end, 0);
-            if (v.empty() || end == nullptr || *end != '\0')
-                sim::fatal("--jobs needs a non-negative integer, got '",
-                           v, "'");
-            opts.runner.jobs = static_cast<unsigned>(n);
-        } else if (arg == "json") {
-            opts.jsonPath = next_value();
-            if (opts.jsonPath.empty())
-                sim::fatal("--json needs a file path");
-        } else if (arg == "trace-out") {
-            opts.runner.trace.outPath = next_value();
-            if (opts.runner.trace.outPath.empty())
-                sim::fatal("--trace-out needs a file path");
-            opts.runner.trace.enabled = true;
-        } else if (arg == "trace-ring") {
-            const std::string v = next_value();
-            char *end = nullptr;
-            const unsigned long long n =
-                std::strtoull(v.c_str(), &end, 0);
-            if (v.empty() || end == nullptr || *end != '\0' || n == 0)
-                sim::fatal("--trace-ring needs a positive integer, "
-                           "got '", v, "'");
-            opts.runner.trace.ringCapacity =
-                static_cast<std::size_t>(n);
-            opts.runner.trace.enabled = true;
-        } else if (arg == "audit") {
-            // Valueless flag; "--audit=..." is a spelling error.
-            if (have_value)
-                sim::fatal("--audit takes no value (use "
-                           "--audit-interval N for periodic checks)");
-            opts.runner.audit.enabled = true;
-        } else if (arg == "audit-interval") {
-            const std::string v = next_value();
-            char *end = nullptr;
-            const unsigned long long n =
-                std::strtoull(v.c_str(), &end, 0);
-            if (v.empty() || end == nullptr || *end != '\0' || n == 0)
-                sim::fatal("--audit-interval needs a positive tick "
-                           "count, got '", v, "'");
-            opts.runner.audit.interval = static_cast<sim::Tick>(n);
-            opts.runner.audit.enabled = true;
-        } else if (arg == "oversubscription") {
-            const std::string v = next_value();
-            char *end = nullptr;
-            const double r = std::strtod(v.c_str(), &end);
-            if (v.empty() || end == nullptr || *end != '\0' || r <= 0.0
-                || r > 1.0) {
-                sim::fatal("--oversubscription needs a ratio in "
-                           "(0, 1], got '", v, "'");
-            }
-            opts.runner.gmmu.oversubscription = r;
-            opts.runner.gmmu.enabled = true;
-        } else if (arg == "fault-latency") {
-            const std::string v = next_value();
-            char *end = nullptr;
-            const unsigned long long n =
-                std::strtoull(v.c_str(), &end, 0);
-            if (v.empty() || end == nullptr || *end != '\0')
-                sim::fatal("--fault-latency needs a tick count, got '",
-                           v, "'");
-            opts.runner.gmmu.faultLatency = static_cast<sim::Tick>(n);
-            opts.runner.gmmu.enabled = true;
-        } else if (arg == "migration-latency") {
-            const std::string v = next_value();
-            char *end = nullptr;
-            const unsigned long long n =
-                std::strtoull(v.c_str(), &end, 0);
-            if (v.empty() || end == nullptr || *end != '\0')
-                sim::fatal("--migration-latency needs a tick count, "
-                           "got '", v, "'");
-            opts.runner.gmmu.migrationLatency =
-                static_cast<sim::Tick>(n);
-            opts.runner.gmmu.enabled = true;
-        } else if (arg == "fault-policy") {
-            const std::string v = next_value();
-            if (v == "fcfs") {
-                opts.runner.gmmu.order = vm::FaultOrder::Fcfs;
-            } else if (v == "sjf") {
-                opts.runner.gmmu.order = vm::FaultOrder::Sjf;
-            } else {
-                sim::fatal("--fault-policy must be fcfs or sjf, got '",
-                           v, "'");
-            }
-            opts.runner.gmmu.enabled = true;
-        } else if (arg == "gmmu-batch") {
-            const std::string v = next_value();
-            char *end = nullptr;
-            const unsigned long n = std::strtoul(v.c_str(), &end, 0);
-            if (v.empty() || end == nullptr || *end != '\0' || n == 0)
-                sim::fatal("--gmmu-batch needs a positive integer, "
-                           "got '", v, "'");
-            opts.runner.gmmu.batchSize = static_cast<unsigned>(n);
-            opts.runner.gmmu.enabled = true;
-        } else if (arg == "gmmu-evict") {
-            const std::string v = next_value();
-            if (v == "lru") {
-                opts.runner.gmmu.evict = vm::EvictPolicy::Lru;
-            } else if (v == "random") {
-                opts.runner.gmmu.evict = vm::EvictPolicy::Random;
-            } else {
-                sim::fatal("--gmmu-evict must be lru or random, got '",
-                           v, "'");
-            }
-            opts.runner.gmmu.enabled = true;
-        } else if (arg == "no-contiguity") {
-            if (have_value)
-                sim::fatal("--no-contiguity takes no value");
-            opts.runner.gmmu.contiguity = false;
-            opts.runner.gmmu.enabled = true;
-        } else if (arg == "prefetch") {
-            opts.runner.prefetch.kind =
-                iommu::prefetchKindFromString(next_value());
-        } else if (arg == "prefetch-degree") {
-            const std::string v = next_value();
-            char *end = nullptr;
-            const unsigned long n = std::strtoul(v.c_str(), &end, 0);
-            if (v.empty() || end == nullptr || *end != '\0' || n == 0)
-                sim::fatal("--prefetch-degree needs a positive "
-                           "integer, got '", v, "'");
-            opts.runner.prefetch.degree = static_cast<unsigned>(n);
-        } else if (arg == "wasp") {
-            if (have_value)
-                sim::fatal("--wasp takes no value (use --wasp-leaders "
-                           "/ --wasp-distance for the knobs)");
-            opts.runner.wasp = true;
-        } else if (arg == "wasp-leaders") {
-            const std::string v = next_value();
-            char *end = nullptr;
-            const unsigned long n = std::strtoul(v.c_str(), &end, 0);
-            if (v.empty() || end == nullptr || *end != '\0' || n == 0)
-                sim::fatal("--wasp-leaders needs a positive integer, "
-                           "got '", v, "'");
-            opts.runner.waspLeaders = static_cast<unsigned>(n);
-            opts.runner.wasp = true;
-        } else if (arg == "wasp-distance") {
-            const std::string v = next_value();
-            char *end = nullptr;
-            const unsigned long long n =
-                std::strtoull(v.c_str(), &end, 0);
-            if (v.empty() || end == nullptr || *end != '\0')
-                sim::fatal("--wasp-distance needs a cycle count, "
-                           "got '", v, "'");
-            opts.runner.waspDistanceCycles =
-                static_cast<sim::Cycles>(n);
-            opts.runner.wasp = true;
-        } else if (arg == "spec-admission") {
-            opts.runner.specAdmission =
-                iommu::specAdmissionFromString(next_value());
-        } else {
-            sim::fatal("unknown flag --", arg, " (see --help)");
-        }
-    }
+    const auto model = configFlags(opts.base);
+    std::vector<Flag> own{
+        {"jobs", "N",
+         "worker threads for the sweep (default: all hardware\n"
+         "threads; 1 = serial reference execution)",
+         [&opts](const std::string &v) {
+             opts.jobs = parseUint<unsigned>("jobs", v);
+         }},
+        {"json", "PATH",
+         "write structured results (per-run stats, summary\n"
+         "scalars, config fingerprint, git sha, wall time)",
+         [&opts](const std::string &v) {
+             if (v.empty())
+                 sim::fatal("--json needs a file path");
+             opts.jsonPath = v;
+         }},
+    };
+    own.push_back({"help", "", "this text", [&](const std::string &) {
+                       std::cout << id << ": " << description
+                                 << "\n\nFlags (--flag VALUE or "
+                                    "--flag=VALUE):\n";
+                       printFlags(std::cout, own);
+                       std::cout << "\nModel flags, applied to every "
+                                    "run (all but tracing and\n"
+                                    "auditing also change "
+                                    "config_fingerprint):\n";
+                       printFlags(std::cout, model);
+                       std::exit(0);
+                   }});
+    auto all = own;
+    all.insert(all.end(), model.begin(), model.end());
+    parseFlags(argc, argv, all);
     return opts;
 }
 

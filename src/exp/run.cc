@@ -6,20 +6,26 @@
 namespace gpuwalk::exp {
 
 std::string
+withPathSuffix(const std::string &path, const std::string &suffix)
+{
+    const auto slash = path.find_last_of('/');
+    auto dot = path.find_last_of('.');
+    if (dot == std::string::npos
+        || (slash != std::string::npos && dot < slash)) {
+        dot = path.size();
+    }
+    return path.substr(0, dot) + suffix + path.substr(dot);
+}
+
+std::string
 traceFilePath(const system::SystemConfig &cfg,
               const std::string &workload, std::uint64_t seed)
 {
-    const std::string &base = cfg.trace.outPath;
-    const auto slash = base.find_last_of('/');
-    auto dot = base.find_last_of('.');
-    if (dot == std::string::npos
-        || (slash != std::string::npos && dot < slash)) {
-        dot = base.size();
-    }
-    return base.substr(0, dot) + "-" + workload + "-"
-           + core::toString(cfg.scheduler) + "-"
-           + configFingerprint(cfg).substr(0, 8) + "-s"
-           + std::to_string(seed) + base.substr(dot);
+    return withPathSuffix(cfg.trace.outPath,
+                          "-" + workload + "-"
+                              + core::toString(cfg.scheduler) + "-"
+                              + configFingerprint(cfg).substr(0, 8)
+                              + "-s" + std::to_string(seed));
 }
 
 RunResult

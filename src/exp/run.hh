@@ -51,6 +51,11 @@ RunResult runOne(const system::SystemConfig &cfg,
 system::SystemConfig withScheduler(system::SystemConfig cfg,
                                    core::SchedulerKind kind);
 
+/** @p path with @p suffix inserted before its extension:
+ *  ("out.json", "-fcfs") -> "out-fcfs.json". */
+std::string withPathSuffix(const std::string &path,
+                           const std::string &suffix);
+
 /**
  * The Chrome-trace output path runOne writes for one run: the
  * configured cfg.trace.outPath uniquified with the workload,

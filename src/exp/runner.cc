@@ -58,14 +58,13 @@ SweepResult::stats(const std::string &workload,
 }
 
 SweepResult
-runJobs(const std::vector<Job> &jobs, const RunnerOptions &opts)
+runJobs(const std::vector<Job> &jobs, unsigned workers)
 {
     SweepResult out;
     out.runs_.resize(jobs.size());
 
-    unsigned workers =
-        opts.jobs ? opts.jobs
-                  : std::max(1u, std::thread::hardware_concurrency());
+    if (workers == 0)
+        workers = std::max(1u, std::thread::hardware_concurrency());
     if (jobs.size() < workers)
         workers = static_cast<unsigned>(jobs.size());
     if (workers == 0)
@@ -128,34 +127,9 @@ runJobs(const std::vector<Job> &jobs, const RunnerOptions &opts)
 }
 
 SweepResult
-runSweep(const SweepSpec &spec, const RunnerOptions &opts)
+runSweep(const SweepSpec &spec, unsigned workers)
 {
-    if (!opts.trace.enabled && !opts.audit.enabled
-        && !opts.gmmu.enabled
-        && opts.prefetch.kind == iommu::PrefetchKind::Off
-        && !opts.wasp
-        && opts.specAdmission == iommu::SpecAdmission::Idle) {
-        return runJobs(spec.expand(), opts);
-    }
-    SweepSpec instrumented = spec;
-    if (opts.trace.enabled)
-        instrumented.base.trace = opts.trace;
-    if (opts.audit.enabled)
-        instrumented.base.audit = opts.audit;
-    if (opts.gmmu.enabled)
-        instrumented.base.gmmu = opts.gmmu;
-    if (opts.prefetch.kind != iommu::PrefetchKind::Off)
-        instrumented.base.iommu.prefetch = opts.prefetch;
-    if (opts.wasp) {
-        instrumented.base.gpu.wavefrontSched =
-            gpu::WavefrontSchedPolicy::Wasp;
-        instrumented.base.gpu.waspLeaders = opts.waspLeaders;
-        instrumented.base.gpu.waspDistanceCycles =
-            opts.waspDistanceCycles;
-    }
-    if (opts.specAdmission != iommu::SpecAdmission::Idle)
-        instrumented.base.iommu.specAdmission = opts.specAdmission;
-    return runJobs(instrumented.expand(), opts);
+    return runJobs(spec.expand(), workers);
 }
 
 } // namespace gpuwalk::exp

@@ -16,67 +16,8 @@
 #include <vector>
 
 #include "exp/sweep.hh"
-#include "iommu/iommu.hh"
-#include "iommu/prefetch/translation_prefetcher.hh"
-#include "sim/audit.hh"
-#include "sim/ticks.hh"
-#include "trace/trace.hh"
-#include "vm/gmmu.hh"
 
 namespace gpuwalk::exp {
-
-/** Execution knobs for a sweep. */
-struct RunnerOptions
-{
-    /** Worker threads; 0 means std::thread::hardware_concurrency. */
-    unsigned jobs = 0;
-
-    /**
-     * Walk-lifecycle tracing applied to every run of the sweep
-     * (runSweep copies it into the spec's base config before
-     * expansion). Observation-only: simulated results are unchanged.
-     */
-    trace::TraceConfig trace;
-
-    /**
-     * Conservation auditing applied to every run of the sweep (same
-     * copy-into-base mechanism as tracing). Observation-only; each
-     * run's violations land in its RunStats audit fields.
-     */
-    sim::AuditConfig audit;
-
-    /**
-     * Demand paging / oversubscription applied to every run of the
-     * sweep (same copy-into-base mechanism). NOT observation-only:
-     * faulting runs simulate different machines than resident runs,
-     * so this only applies when gmmu.enabled is set.
-     */
-    vm::GmmuConfig gmmu;
-
-    /**
-     * Translation prefetching applied to every run of the sweep (same
-     * copy-into-base mechanism). NOT observation-only: speculative
-     * walks change TLB contents and walker occupancy, so this only
-     * applies when prefetch.kind != Off.
-     */
-    iommu::PrefetchConfig prefetch;
-
-    /**
-     * Wasp wavefront scheduling applied to every run of the sweep
-     * (same copy-into-base mechanism). NOT observation-only: leaders
-     * reorder issue and add speculative walks, so the policy + knobs
-     * copy in only when wasp is true.
-     */
-    bool wasp = false;
-    unsigned waspLeaders = 1;
-    sim::Cycles waspDistanceCycles = 2048;
-
-    /**
-     * Speculative-walk admission applied to every run of the sweep
-     * (same mechanism; copies in only when != Idle, the default).
-     */
-    iommu::SpecAdmission specAdmission = iommu::SpecAdmission::Idle;
-};
 
 /**
  * The outcome of one sweep: per-run results in expansion order plus
@@ -113,8 +54,7 @@ class SweepResult
     unsigned jobsUsed() const { return jobs_used_; }
 
   private:
-    friend SweepResult runJobs(const std::vector<Job> &,
-                               const RunnerOptions &);
+    friend SweepResult runJobs(const std::vector<Job> &, unsigned);
 
     std::vector<RunResult> runs_;
     double wall_seconds_ = 0.0;
@@ -122,7 +62,8 @@ class SweepResult
 };
 
 /**
- * Executes @p jobs on a worker pool.
+ * Executes @p jobs on a worker pool of @p workers threads (0 = one
+ * per hardware thread; 1 = serially on the calling thread).
  *
  * Work is pulled from an atomic cursor; each result is stored at its
  * job index. The first exception cancels the pool — workers finish
@@ -130,12 +71,10 @@ class SweepResult
  * caller's thread once all workers joined. Per-job host wall time is
  * recorded on every completed result.
  */
-SweepResult runJobs(const std::vector<Job> &jobs,
-                    const RunnerOptions &opts = {});
+SweepResult runJobs(const std::vector<Job> &jobs, unsigned workers = 0);
 
 /** Expands @p spec and runs the jobs. */
-SweepResult runSweep(const SweepSpec &spec,
-                     const RunnerOptions &opts = {});
+SweepResult runSweep(const SweepSpec &spec, unsigned workers = 0);
 
 } // namespace gpuwalk::exp
 

@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "exp/run.hh"
@@ -94,9 +95,10 @@ struct SweepSpec
     /** Overrides the standard build-run body when set. */
     JobBody body;
 
-    SweepSpec()
-        : base(system::SystemConfig::baseline()),
-          params(experimentParams())
+    /** A sweep over @p base; benches pass BenchOptions::base. */
+    explicit SweepSpec(
+        system::SystemConfig base = system::SystemConfig::baseline())
+        : base(std::move(base)), params(experimentParams())
     {}
 
     std::vector<Job> expand() const;

@@ -342,4 +342,26 @@ System::dumpStats(std::ostream &os) const
     dram_->stats().dump(os);
 }
 
+std::unique_ptr<System>
+makeTenantSystem(SystemConfig cfg,
+                 const std::vector<workload::TenantSpec> &tenants)
+{
+    for (unsigned i = 0; i < tenants.size(); ++i) {
+        if (tenants[i].weight > 1) {
+            cfg.qos.shareWeights.resize(tenants.size(), 1);
+            cfg.qos.shareWeights[i] = tenants[i].weight;
+        }
+    }
+    auto sys = std::make_unique<System>(cfg);
+    for (unsigned i = 0; i < tenants.size(); ++i) {
+        const auto ctx =
+            i == 0 ? tlb::defaultContext : sys->createContext();
+        GPUWALK_ASSERT(ctx == i, "tenant context ids must be dense");
+        sys->loadBenchmarkInContext(tenants[i].workload,
+                                    tenants[i].params, /*app_id=*/i,
+                                    ctx, tenants[i].arrivalTick);
+    }
+    return sys;
+}
+
 } // namespace gpuwalk::system

@@ -28,6 +28,7 @@
 #include "vm/address_space.hh"
 #include "vm/frame_allocator.hh"
 #include "vm/gmmu.hh"
+#include "workload/tenant_mix.hh"
 #include "workload/workload.hh"
 
 namespace gpuwalk::system {
@@ -222,6 +223,16 @@ class System
     std::unique_ptr<tlb::TlbHierarchy> tlbs_;
     std::unique_ptr<gpu::Gpu> gpu_;
 };
+
+/**
+ * Builds a System for a tenant plan and loads every tenant: tenant i
+ * runs as app i in ContextId i (the default context for tenant 0)
+ * from its arrival tick, and a weight above 1 is set in
+ * cfg.qos.shareWeights[i] before the System copies the config.
+ */
+std::unique_ptr<System>
+makeTenantSystem(SystemConfig cfg,
+                 const std::vector<workload::TenantSpec> &tenants);
 
 } // namespace gpuwalk::system
 

@@ -199,7 +199,7 @@ TEST(SweepSpecTest, ImplicitSeedKeepsBaselinePairing)
         checked = true;
         return RunResult{};
     };
-    runSweep(spec, {1});
+    runSweep(spec, 1);
     EXPECT_TRUE(checked);
 }
 
@@ -216,7 +216,7 @@ TEST(SweepSpecTest, ExplicitSeedsOverrideBothStreams)
         seen.push_back(job.seed);
         return RunResult{};
     };
-    const auto result = runSweep(spec, {1});
+    const auto result = runSweep(spec, 1);
     EXPECT_EQ(seen, (std::vector<std::uint64_t>{7, 9}));
     EXPECT_EQ(result.runs()[0].seed, 7u);
     EXPECT_EQ(result.runs()[1].seed, 9u);
@@ -243,7 +243,7 @@ TEST(SweepSpecTest, VariantApplyMutatesConfigAndParams)
         checked = true;
         return RunResult{};
     };
-    runSweep(spec, {1});
+    runSweep(spec, 1);
     EXPECT_TRUE(checked);
 }
 
@@ -265,8 +265,8 @@ TEST(ParallelRunnerTest, SerialAndParallelRunsAreByteIdentical)
     // The acceptance property: the same SweepSpec with --jobs 1 and
     // --jobs 8 yields byte-identical per-run statistics (compared via
     // the JSON rendition, which prints doubles at max precision).
-    const auto serial = runSweep(smallRealSweep(), {1});
-    const auto parallel = runSweep(smallRealSweep(), {8});
+    const auto serial = runSweep(smallRealSweep(), 1);
+    const auto parallel = runSweep(smallRealSweep(), 8);
 
     ASSERT_EQ(serial.runs().size(), parallel.runs().size());
     EXPECT_EQ(serial.jobsUsed(), 1u);
@@ -284,7 +284,7 @@ TEST(ParallelRunnerTest, SerialAndParallelRunsAreByteIdentical)
 
 TEST(ParallelRunnerTest, ResultsKeepExpansionOrderAndLabels)
 {
-    const auto result = runSweep(smallRealSweep(), {4});
+    const auto result = runSweep(smallRealSweep(), 4);
     ASSERT_EQ(result.runs().size(), 4u);
     EXPECT_EQ(result.runs()[0].workload, "KMN");
     EXPECT_EQ(result.runs()[0].scheduler, "fcfs");
@@ -300,7 +300,7 @@ TEST(ParallelRunnerTest, ResultsKeepExpansionOrderAndLabels)
 
 TEST(ParallelRunnerTest, RecordsWallTimes)
 {
-    const auto result = runSweep(smallRealSweep(), {2});
+    const auto result = runSweep(smallRealSweep(), 2);
     EXPECT_GT(result.wallSeconds(), 0.0);
     EXPECT_EQ(result.jobsUsed(), 2u);
     for (const auto &run : result.runs())
@@ -320,8 +320,8 @@ TEST(ParallelRunnerTest, FirstExceptionPropagatesToCaller)
         };
         jobs.push_back(std::move(job));
     }
-    EXPECT_THROW(runJobs(jobs, {4}), std::runtime_error);
-    EXPECT_THROW(runJobs(jobs, {1}), std::runtime_error);
+    EXPECT_THROW(runJobs(jobs, 4), std::runtime_error);
+    EXPECT_THROW(runJobs(jobs, 1), std::runtime_error);
 }
 
 TEST(ParallelRunnerDeathTest, MissingLabelPanics)
@@ -329,7 +329,7 @@ TEST(ParallelRunnerDeathTest, MissingLabelPanics)
     SweepSpec spec;
     spec.params = tinyParams();
     spec.workloads = {"KMN"};
-    const auto result = runSweep(spec, {1});
+    const auto result = runSweep(spec, 1);
     EXPECT_DEATH(result.at("NOPE"), "no sweep result");
 }
 
@@ -358,7 +358,7 @@ TEST(ReportTest, RendersBannerTablesAndNotes)
 TEST(ReportTest, JsonCarriesRunsSummaryAndFingerprint)
 {
     auto spec = smallRealSweep();
-    const auto result = runSweep(spec, {2});
+    const auto result = runSweep(spec, 2);
 
     Report report("Figure T", "test report", spec.base);
     auto &table = report.addTable({"app", "speedup"});
@@ -398,57 +398,160 @@ TEST(ReportTest, StatsJsonIsByteStableForEqualStats)
 
 // --- bench CLI parsing ---------------------------------------------
 
+/** parseBenchArgs over @p args (argv[0] is supplied). */
+BenchOptions
+parseArgs(std::vector<const char *> args)
+{
+    args.insert(args.begin(), "bench");
+    return parseBenchArgs(static_cast<int>(args.size()),
+                          const_cast<char **>(args.data()), "id", "desc");
+}
+
+/** The config_fingerprint a Report over @p cfg writes into its JSON. */
+std::string
+reportFingerprint(const SystemConfig &cfg)
+{
+    std::ostringstream os;
+    Report("id", "desc", cfg).writeJson(os, nullptr);
+    const std::string key = "\"config_fingerprint\": \"";
+    const auto at = os.str().find(key);
+    EXPECT_NE(at, std::string::npos);
+    return os.str().substr(at + key.size(), 16);
+}
+
 TEST(BenchCliTest, ParsesJobsAndJsonBothSpellings)
 {
     {
-        const char *argv[] = {"bench", "--jobs=4", "--json=/tmp/x"};
-        const auto opts = parseBenchArgs(3, const_cast<char **>(argv),
-                                         "id", "desc");
-        EXPECT_EQ(opts.runner.jobs, 4u);
+        const auto opts = parseArgs({"--jobs=4", "--json=/tmp/x"});
+        EXPECT_EQ(opts.jobs, 4u);
         EXPECT_EQ(opts.jsonPath, "/tmp/x");
     }
     {
-        const char *argv[] = {"bench", "--jobs", "2", "--json",
-                              "/tmp/y"};
-        const auto opts = parseBenchArgs(5, const_cast<char **>(argv),
-                                         "id", "desc");
-        EXPECT_EQ(opts.runner.jobs, 2u);
+        const auto opts = parseArgs({"--jobs", "2", "--json", "/tmp/y"});
+        EXPECT_EQ(opts.jobs, 2u);
         EXPECT_EQ(opts.jsonPath, "/tmp/y");
     }
     {
-        const char *argv[] = {"bench"};
-        const auto opts = parseBenchArgs(1, const_cast<char **>(argv),
-                                         "id", "desc");
-        EXPECT_EQ(opts.runner.jobs, 0u);
+        const auto opts = parseArgs({});
+        EXPECT_EQ(opts.jobs, 0u);
         EXPECT_TRUE(opts.jsonPath.empty());
-        EXPECT_FALSE(opts.runner.audit.enabled);
+        EXPECT_FALSE(opts.base.audit.enabled);
     }
 }
 
 TEST(BenchCliTest, ParsesAuditFlags)
 {
     {
-        const char *argv[] = {"bench", "--audit"};
-        const auto opts = parseBenchArgs(2, const_cast<char **>(argv),
-                                         "id", "desc");
-        EXPECT_TRUE(opts.runner.audit.enabled);
-        EXPECT_EQ(opts.runner.audit.interval, 0u);
+        const auto opts = parseArgs({"--audit"});
+        EXPECT_TRUE(opts.base.audit.enabled);
+        EXPECT_EQ(opts.base.audit.interval, 0u);
     }
     {
         // --audit-interval implies --audit; both spellings work.
-        const char *argv[] = {"bench", "--audit-interval=500000"};
-        const auto opts = parseBenchArgs(2, const_cast<char **>(argv),
-                                         "id", "desc");
-        EXPECT_TRUE(opts.runner.audit.enabled);
-        EXPECT_EQ(opts.runner.audit.interval, 500000u);
+        const auto opts = parseArgs({"--audit-interval=500000"});
+        EXPECT_TRUE(opts.base.audit.enabled);
+        EXPECT_EQ(opts.base.audit.interval, 500000u);
     }
     {
-        const char *argv[] = {"bench", "--audit-interval", "250"};
-        const auto opts = parseBenchArgs(3, const_cast<char **>(argv),
-                                         "id", "desc");
-        EXPECT_TRUE(opts.runner.audit.enabled);
-        EXPECT_EQ(opts.runner.audit.interval, 250u);
+        const auto opts = parseArgs({"--audit-interval", "250"});
+        EXPECT_TRUE(opts.base.audit.enabled);
+        EXPECT_EQ(opts.base.audit.interval, 250u);
     }
+}
+
+TEST(BenchCliTest, PrefetchTakesBothSpellingsAndABareForm)
+{
+    EXPECT_EQ(parseArgs({"--prefetch", "spp"}).base.iommu.prefetch.kind,
+              iommu::PrefetchKind::Spp);
+    EXPECT_EQ(parseArgs({"--prefetch=off"}).base.iommu.prefetch.kind,
+              iommu::PrefetchKind::Off);
+    // A bare --prefetch, last or followed by another flag, means next.
+    EXPECT_EQ(parseArgs({"--prefetch"}).base.iommu.prefetch.kind,
+              iommu::PrefetchKind::NextPage);
+    const auto opts = parseArgs({"--prefetch", "--jobs", "3"});
+    EXPECT_EQ(opts.base.iommu.prefetch.kind,
+              iommu::PrefetchKind::NextPage);
+    EXPECT_EQ(opts.jobs, 3u);
+}
+
+TEST(BenchCliTest, ModelFlagsEditTheBaseConfig)
+{
+    const auto opts = parseArgs(
+        {"--oversubscription", "0.5", "--fault-policy=sjf",
+         "--wasp-leaders", "2", "--spec-admission=budget",
+         "--trace-ring", "64"});
+    EXPECT_TRUE(opts.base.gmmu.enabled);
+    EXPECT_DOUBLE_EQ(opts.base.gmmu.oversubscription, 0.5);
+    EXPECT_EQ(opts.base.gmmu.order, vm::FaultOrder::Sjf);
+    // --wasp-leaders implies --wasp.
+    EXPECT_EQ(opts.base.gpu.wavefrontSched,
+              gpu::WavefrontSchedPolicy::Wasp);
+    EXPECT_EQ(opts.base.gpu.waspLeaders, 2u);
+    EXPECT_EQ(opts.base.iommu.specAdmission,
+              iommu::SpecAdmission::Budget);
+    EXPECT_TRUE(opts.base.trace.enabled);
+    EXPECT_EQ(opts.base.trace.ringCapacity, 64u);
+}
+
+TEST(BenchCliTest, FlagsReachAHandBuiltJob)
+{
+    // A bench that builds its own jobs (no SweepSpec) starts them from
+    // opts.base, so the model flags reach every run.
+    const auto opts = parseArgs({"--audit", "--prefetch", "spp"});
+    Job job;
+    job.workload = "KMN";
+    const auto cfg = opts.base;
+    job.body = [cfg] { return runOne(cfg, "KMN", tinyParams()); };
+    const auto result = runJobs({job}, 1);
+
+    ASSERT_EQ(result.runs().size(), 1u);
+    const auto &stats = result.runs()[0].stats;
+    EXPECT_TRUE(stats.audited);
+    EXPECT_GT(stats.auditChecks, 0u);
+    EXPECT_EQ(stats.auditViolations, 0u);
+    EXPECT_TRUE(stats.prefetch.enabled);
+    EXPECT_NE(statsJsonString(stats).find("\"prefetch\": {"),
+              std::string::npos);
+}
+
+TEST(BenchCliTest, FingerprintFollowsModelFlagsButNotAuditing)
+{
+    const auto baseline = reportFingerprint(SystemConfig::baseline());
+    EXPECT_NE(reportFingerprint(parseArgs({"--prefetch", "spp"}).base),
+              baseline);
+    EXPECT_EQ(reportFingerprint(parseArgs({"--audit"}).base), baseline);
+    EXPECT_EQ(reportFingerprint(parseArgs({}).base), baseline);
+}
+
+TEST(BenchCliDeathTest, MalformedNumberIsFatalInEveryParser)
+{
+    // The benches and gpuwalk read model flags through the same
+    // table, so a malformed value fails the same way in both.
+    const char *message =
+        "fatal: --fault-latency needs a non-negative integer, got 'abc'";
+    EXPECT_EXIT(parseArgs({"--fault-latency=abc"}),
+                ::testing::ExitedWithCode(1), message);
+    const auto gpuwalkParse = [] {
+        SystemConfig cfg;
+        const char *argv[] = {"gpuwalk", "--fault-latency", "abc"};
+        parseFlags(3, const_cast<char **>(argv), configFlags(cfg));
+    };
+    EXPECT_EXIT(gpuwalkParse(), ::testing::ExitedWithCode(1), message);
+    EXPECT_EXIT(parseArgs({"--wasp-distance=12x"}),
+                ::testing::ExitedWithCode(1),
+                "--wasp-distance needs a non-negative integer, got '12x'");
+    EXPECT_EXIT(parseArgs({"--gmmu-batch=0"}),
+                ::testing::ExitedWithCode(1),
+                "--gmmu-batch needs a positive integer, got '0'");
+    // A value that would wrap in its narrower field is out of range.
+    EXPECT_EXIT(parseArgs({"--wasp-leaders=4294967297"}),
+                ::testing::ExitedWithCode(1),
+                "--wasp-leaders needs an integer no larger than "
+                "4294967295, got '4294967297'");
+    EXPECT_EXIT(parseArgs({"--audit=yes"}), ::testing::ExitedWithCode(1),
+                "--audit takes no value");
+    EXPECT_EXIT(parseArgs({"--json"}), ::testing::ExitedWithCode(1),
+                "--json needs a value");
 }
 
 TEST(ParallelRunnerTest, AuditedSweepIsCleanAndCarriesAuditStats)
@@ -458,12 +561,9 @@ TEST(ParallelRunnerTest, AuditedSweepIsCleanAndCarriesAuditStats)
     spec.workloads = {"KMN"};
     spec.schedulers = {core::SchedulerKind::Fcfs,
                        core::SchedulerKind::SimtAware};
-
-    RunnerOptions opts;
-    opts.jobs = 2;
-    opts.audit.enabled = true;
-    opts.audit.interval = 100000;
-    const auto result = runSweep(spec, opts);
+    spec.base.audit.enabled = true;
+    spec.base.audit.interval = 100000;
+    const auto result = runSweep(spec, 2);
 
     ASSERT_EQ(result.runs().size(), 2u);
     for (const auto &run : result.runs()) {
@@ -484,12 +584,11 @@ TEST(ParallelRunnerTest, AuditDoesNotChangeSimulatedResults)
     // --audit must produce identical simulated statistics. (The
     // events-executed count differs — the audit drains post-kernel
     // tail work — so compare the simulated-time fields directly.)
-    const auto plain = runSweep(smallRealSweep(), {2});
-    RunnerOptions audited;
-    audited.jobs = 2;
-    audited.audit.enabled = true;
-    audited.audit.interval = 250000;
-    const auto checked = runSweep(smallRealSweep(), audited);
+    const auto plain = runSweep(smallRealSweep(), 2);
+    auto audited = smallRealSweep();
+    audited.base.audit.enabled = true;
+    audited.base.audit.interval = 250000;
+    const auto checked = runSweep(audited, 2);
 
     ASSERT_EQ(plain.runs().size(), checked.runs().size());
     for (std::size_t i = 0; i < plain.runs().size(); ++i) {

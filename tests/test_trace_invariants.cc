@@ -377,10 +377,8 @@ TEST(GoldenTrace, SweepDigestsAreJobCountInvariant)
         spec.workloads = {"KMN", "MVT"};
         spec.schedulers = {core::SchedulerKind::Fcfs,
                            core::SchedulerKind::SimtAware};
-        exp::RunnerOptions opts;
-        opts.jobs = jobs;
-        opts.trace.enabled = true; // no outPath: no files written
-        return runSweep(spec, opts);
+        spec.base.trace.enabled = true; // no outPath: no files written
+        return runSweep(spec, jobs);
     };
 
     const auto serial = sweep(1);
