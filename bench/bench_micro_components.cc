@@ -354,17 +354,27 @@ BM_BackingStoreRead64(benchmark::State &state)
 }
 BENCHMARK(BM_BackingStoreRead64);
 
+/** Streaming fills of distinct pages: after warm-up every insert
+ *  evicts. Arguments are entries and associativity; 512/16 is the GPU
+ *  L2 TLB, 32/32 the fully associative GPU L1 and IOMMU L1 TLBs. The
+ *  CI perf-smoke gate reads the 32/32 row. */
 void
 BM_TlbInsertEvict(benchmark::State &state)
 {
-    tlb::SetAssocTlb tlb({"bench", 512, 16});
+    const auto entries = static_cast<unsigned>(state.range(0));
+    const auto ways = static_cast<unsigned>(state.range(1));
+    tlb::SetAssocTlb tlb({"bench", entries, ways});
     std::uint64_t vpn = 0;
     for (auto _ : state) {
-        tlb.insert((vpn++) << 12, vpn << 12);
+        tlb.insert(vpn << 12, (vpn + 1) << 12);
+        ++vpn;
     }
     state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_TlbInsertEvict);
+BENCHMARK(BM_TlbInsertEvict)
+    ->ArgNames({"entries", "ways"})
+    ->Args({512, 16})
+    ->Args({32, 32});
 
 /**
  * The paper-policy pick cost at a given buffer occupancy, for each of

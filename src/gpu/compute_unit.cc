@@ -142,9 +142,11 @@ ComputeUnit::issueNext(std::size_t wf_index)
     ++wf.pc;
 
     const tlb::InstructionId key = gpu_.nextInstructionId();
-    InflightInstruction inst;
-    inst.wfIndex = wf_index;
-    inst.access = tlb::coalesce(instr.laneAddrs);
+    GPUWALK_ASSERT(!wf.inflight, "slot ", wf_index,
+                   " issued with an instruction in flight");
+    wf.inflight = true;
+    wf.instruction = key;
+    wf.access = tlb::coalesce(instr.laneAddrs);
 
     const bool leader = isLeaderSlot(wf_index);
     if (leader) {
@@ -157,129 +159,123 @@ ComputeUnit::issueNext(std::size_t wf_index)
             ev.wavefront = wf.globalId;
             ev.instruction = key;
             ev.arg0 = id_;
-            ev.arg1 = inst.access.pages.size();
+            ev.arg1 = wf.access.pages.size();
             tracer_->record(ev);
         }
     }
 
     setBlocked(wf_index, true);
 
-    if (inst.access.pages.empty()) {
+    const auto slot = static_cast<std::uint32_t>(wf_index);
+    const std::size_t pages = wf.access.pages.size();
+    if (pages == 0) {
         // Degenerate empty instruction: retires after the issue cost.
-        inflight_.emplace(key, std::move(inst));
+        wf.computeCycles = 0;
         eq_.scheduleIn(cfg_.clockPeriod * cfg_.issueCycles,
-                       [this, key] { instructionDone(key); });
+                       [this, slot, key] { instructionDone(slot, key); });
         return;
     }
 
-    inst.translationsPending =
-        static_cast<unsigned>(inst.access.pages.size());
-    inst.linesPending = static_cast<unsigned>(inst.access.lines.size());
-    inst.isLoad = instr.isLoad;
-    inst.computeCycles = instr.computeCycles;
+    wf.linesPending = static_cast<unsigned>(wf.access.lines.size());
+    wf.isLoad = instr.isLoad;
+    wf.computeCycles = instr.computeCycles;
 
     if (cfg_.virtualL1Cache) {
         // Virtual L1: no up-front translation; data accesses go out
         // at virtual addresses and only L1 misses translate (via the
         // TranslatingPort below the cache).
-        auto [vit, vinserted] = inflight_.emplace(key, std::move(inst));
-        GPUWALK_ASSERT(vinserted, "duplicate instruction key");
-        vit->second.translationsPending = 0;
-        issueDataAccesses(key, /*virtual_addresses=*/true);
+        wf.translationsPending = 0;
+        issueDataAccesses(wf_index, /*virtual_addresses=*/true);
         return;
     }
 
-    translationReqs_ += inst.access.pages.size();
+    wf.translationsPending = static_cast<unsigned>(pages);
+    wf.paPages.resize(pages);
+    translationReqs_ += pages;
 
-    auto [it, inserted] = inflight_.emplace(key, std::move(inst));
-    GPUWALK_ASSERT(inserted, "duplicate instruction key");
-    const auto &pages = it->second.access.pages;
-
-    for (mem::Addr page : pages) {
-        tlb::TranslationRequest req;
-        req.vaPage = page;
-        req.instruction = key;
-        req.wavefront = wavefronts_[wf_index].globalId;
-        req.cu = id_;
-        req.app = wavefronts_[wf_index].appId;
-        req.ctx = gpu_.contextOf(wavefronts_[wf_index].appId);
-        req.leader = leader;
-        req.onComplete = [this, key, page](mem::Addr pa_page,
-                                           bool /*large_page*/) {
-            auto iit = inflight_.find(key);
-            GPUWALK_ASSERT(iit != inflight_.end(),
-                           "translation for retired instruction");
-            iit->second.pageMap[page] = pa_page;
-            GPUWALK_ASSERT(iit->second.translationsPending > 0,
-                           "translation underflow");
-            if (--iit->second.translationsPending == 0)
-                translationsDone(key);
-        };
-        tlbs_.translate(std::move(req));
+    const tlb::ContextId ctx = gpu_.contextOf(wf.appId);
+    for (std::size_t i = 0; i < pages; ++i) {
+        const auto index = static_cast<std::uint32_t>(i);
+        tlbs_.translateWith([&](tlb::TranslationRequest &req) {
+            req.vaPage = wf.access.pages[i];
+            req.instruction = key;
+            req.wavefront = wf.globalId;
+            req.cu = id_;
+            req.app = wf.appId;
+            req.ctx = ctx;
+            req.leader = leader;
+            req.onComplete = [this, slot, index,
+                              key](mem::Addr pa_page,
+                                   bool /*large_page*/) {
+                Wavefront &w = inflightOf(slot, key, "translation");
+                w.paPages[index] = pa_page;
+                GPUWALK_ASSERT(w.translationsPending > 0,
+                               "translation underflow");
+                if (--w.translationsPending == 0)
+                    issueDataAccesses(slot, /*virtual_addresses=*/false);
+            };
+        });
     }
 }
 
-void
-ComputeUnit::translationsDone(std::uint64_t instr_key)
+ComputeUnit::Wavefront &
+ComputeUnit::inflightOf(std::size_t wf_index, tlb::InstructionId instr,
+                        const char *what)
 {
-    issueDataAccesses(instr_key, /*virtual_addresses=*/false);
+    Wavefront &wf = wavefronts_[wf_index];
+    GPUWALK_ASSERT(wf.inflight && wf.instruction == instr, what,
+                   " for retired instruction ", instr);
+    return wf;
 }
 
 void
-ComputeUnit::issueDataAccesses(std::uint64_t instr_key,
+ComputeUnit::issueDataAccesses(std::size_t wf_index,
                                bool virtual_addresses)
 {
-    InflightInstruction &inst = inflight_.at(instr_key);
-    lineAccesses_ += inst.access.lines.size();
+    Wavefront &wf = wavefronts_[wf_index];
+    const tlb::CoalescedAccess &access = wf.access;
+    const tlb::InstructionId key = wf.instruction;
+    const auto slot = static_cast<std::uint32_t>(wf_index);
+    lineAccesses_ += access.lines.size();
 
     // Physical caches: data could not be touched before translation
     // (paper §I). Virtual L1s issue at the VA and translate on miss.
-    for (mem::Addr line : inst.access.lines) {
+    for (std::size_t i = 0; i < access.lines.size(); ++i) {
+        const mem::Addr line = access.lines[i];
         mem::MemoryRequest req;
-        if (virtual_addresses) {
-            req.addr = line;
-        } else {
-            const mem::Addr va_page = mem::pageAlign(line);
-            auto pit = inst.pageMap.find(va_page);
-            GPUWALK_ASSERT(pit != inst.pageMap.end(),
-                           "line without translated page");
-            req.addr = pit->second | (line & (mem::pageSize - 1));
-        }
+        req.addr = virtual_addresses
+                       ? line
+                       : wf.paPages[access.linePage[i]]
+                             | (line & (mem::pageSize - 1));
         req.size = static_cast<unsigned>(mem::cacheLineSize);
-        req.write = !inst.isLoad;
+        req.write = !wf.isLoad;
         req.requester = mem::Requester::GpuData;
-        req.instruction = instr_key;
-        req.wavefront = wavefronts_[inst.wfIndex].globalId;
+        req.instruction = key;
+        req.wavefront = wf.globalId;
         req.cu = id_;
-        req.onComplete = [this, instr_key] {
-            auto iit = inflight_.find(instr_key);
-            GPUWALK_ASSERT(iit != inflight_.end(),
-                           "data return for retired instruction");
-            GPUWALK_ASSERT(iit->second.linesPending > 0,
-                           "line underflow");
-            if (--iit->second.linesPending == 0)
-                instructionDone(instr_key);
+        req.onComplete = [this, slot, key] {
+            Wavefront &w = inflightOf(slot, key, "data return");
+            GPUWALK_ASSERT(w.linesPending > 0, "line underflow");
+            if (--w.linesPending == 0)
+                instructionDone(slot, key);
         };
         l1d_.access(std::move(req));
     }
 }
 
 void
-ComputeUnit::instructionDone(std::uint64_t instr_key)
+ComputeUnit::instructionDone(std::size_t wf_index,
+                             tlb::InstructionId instr)
 {
-    auto it = inflight_.find(instr_key);
-    GPUWALK_ASSERT(it != inflight_.end(), "retiring unknown instruction");
-    const std::size_t wf_index = it->second.wfIndex;
-    const sim::Cycles compute = it->second.computeCycles;
-    inflight_.erase(it);
+    Wavefront &wf = inflightOf(wf_index, instr, "retiring");
+    wf.inflight = false;
 
     ++instructions_;
     sim::debug::log("gpu", eq_.now(), "cu", id_, " retired instr ",
-                    instr_key, " (wf ",
-                    wavefronts_[wf_index].globalId, ")");
+                    instr, " (wf ", wf.globalId, ")");
     setBlocked(wf_index, false);
 
-    eq_.scheduleIn(cfg_.clockPeriod * (compute + cfg_.issueCycles),
+    eq_.scheduleIn(cfg_.clockPeriod * (wf.computeCycles + cfg_.issueCycles),
                    issueEvents_[wf_index]);
 }
 

@@ -24,7 +24,6 @@
 #include "gpu/issue_arbiter.hh"
 #include "mem/request.hh"
 #include "sim/event_queue.hh"
-#include "sim/flat_map.hh"
 #include "sim/rate_limiter.hh"
 #include "sim/stats.hh"
 #include "tlb/coalescer.hh"
@@ -120,7 +119,11 @@ class ComputeUnit
     sim::StatGroup &stats() { return statGroup_; }
 
   private:
-    /** Execution state of one resident wavefront. */
+    /**
+     * Execution state of one resident wavefront, including its
+     * in-flight SIMD memory instruction: a slot blocks on the
+     * instruction it issued, so it has at most one in flight.
+     */
     struct Wavefront
     {
         std::uint32_t globalId = 0;
@@ -129,19 +132,17 @@ class ComputeUnit
         std::size_t pc = 0;
         bool blocked = false; ///< waiting on an outstanding instruction
         bool finished = false;
-    };
 
-    /** Book-keeping for one in-flight SIMD memory instruction. */
-    struct InflightInstruction
-    {
-        std::size_t wfIndex = 0;
+        // The in-flight instruction (valid while inflight is set).
+        bool inflight = false;
+        tlb::InstructionId instruction = 0;
         tlb::CoalescedAccess access;
+        /** Physical page of each of access.pages, by position. */
+        std::vector<mem::Addr> paPages;
         unsigned translationsPending = 0;
         unsigned linesPending = 0;
         bool isLoad = true;
         sim::Cycles computeCycles = 0;
-        /** vaPage -> paPage for translated pages of this instruction. */
-        sim::FlatMap<mem::Addr, mem::Addr> pageMap;
     };
 
     /**
@@ -161,10 +162,12 @@ class ComputeUnit
     void requestIssue(std::size_t wf_index);
     void arbitrateIssue();
     void issueNext(std::size_t wf_index);
-    void translationsDone(std::uint64_t instr_key);
-    void issueDataAccesses(std::uint64_t instr_key,
-                           bool virtual_addresses);
-    void instructionDone(std::uint64_t instr_key);
+    /** Slot @p wf_index's in-flight instruction, checked to be
+     *  @p instr (a callback must never outlive its instruction). */
+    Wavefront &inflightOf(std::size_t wf_index, tlb::InstructionId instr,
+                          const char *what);
+    void issueDataAccesses(std::size_t wf_index, bool virtual_addresses);
+    void instructionDone(std::size_t wf_index, tlb::InstructionId instr);
     void setBlocked(std::size_t wf_index, bool blocked);
     void updateStallState();
 
@@ -182,7 +185,6 @@ class ComputeUnit
     /** O(1) ready-slot pick index (replaces the per-issue scan over a
      *  ready deque; the scan survives as referenceArbitrate()). */
     IssueArbiter arbiter_;
-    sim::FlatMap<std::uint64_t, InflightInstruction> inflight_;
     trace::Tracer *tracer_ = nullptr;
     unsigned wavefrontsDone_ = 0;
     unsigned blockedCount_ = 0;

@@ -322,74 +322,85 @@ void
 Iommu::translate(tlb::TranslationRequest req)
 {
     ++requests_;
-    eq_.scheduleIn(cfg_.hopLatency, [this, r = std::move(req)]() mutable {
-        frontPort_.submit([this, r = std::move(r)]() mutable {
-            lookupTlbs(std::move(r));
-        });
-    });
+    Arrival *a = arrivalPool_.acquire();
+    a->iommu = this;
+    a->req = std::move(req);
+    a->stage = Arrival::Stage::Hop;
+    eq_.scheduleIn(cfg_.hopLatency, *a);
 }
 
 void
-Iommu::respond(tlb::TranslationRequest req, mem::Addr pa_page,
-               bool large_page, sim::Tick delay)
+Iommu::Arrival::process()
+{
+    switch (stage) {
+      case Stage::Hop:
+        stage = Stage::FrontPort;
+        iommu->frontPort_.submit(*this);
+        return;
+      case Stage::FrontPort:
+        iommu->lookupTlbs(*this);
+        return;
+      case Stage::Respond:
+        req.complete(paPage, largePage);
+        break;
+      case Stage::Enqueue:
+        iommu->enqueueWalk(std::move(req));
+        break;
+    }
+    iommu->arrivalPool_.release(this);
+}
+
+void
+Iommu::respond(tlb::TranslationRequest &&req, mem::Addr pa_page,
+               bool large_page)
 {
     ++replies_;
-    if (delay == 0) {
-        req.complete(pa_page, large_page);
-        return;
-    }
-    eq_.scheduleIn(delay,
-                   [r = std::move(req), pa_page, large_page]() mutable {
-                       r.complete(pa_page, large_page);
-                   });
+    req.complete(pa_page, large_page);
 }
 
 void
-Iommu::lookupTlbs(tlb::TranslationRequest r)
+Iommu::lookupTlbs(Arrival &a)
 {
     // IOMMU TLB lookups (paper step 5). ASID-tagged: an entry never
     // hits across address spaces.
+    const tlb::TranslationRequest &r = a.req;
     auto hit = l1Tlb_.lookupEntry(r.vaPage, r.ctx);
     if (!hit)
         hit = l2Tlb_.lookupEntry(r.vaPage, r.ctx);
-    if (hit) {
-        ++tlbHits_;
-        sim::debug::log("tlb", eq_.now(), "IOMMU TLB hit va=",
-                        std::hex, r.vaPage, std::dec, " instr=",
-                        r.instruction);
-        const auto h = *hit;
-        if (prefetcher_) {
-            // First demand touch of a prefetched translation: the
-            // speculation paid off.
-            const std::uint64_t key = mem::pageCtxKey(r.ctx, r.vaPage);
-            if (const auto pit = prefetchedUntouched_.find(key);
-                pit != prefetchedUntouched_.end()) {
-                prefetchedUntouched_.erase(pit);
-                ++prefetchUseful_;
-                traceWalk(trace::EventKind::PrefetchUseful, r);
-            }
-            // A hit is still a demand touch: without this the stream
-            // starves as soon as the prefetcher starts covering it.
-            const mem::Addr va = r.vaPage;
-            const ContextId ctx = r.ctx;
-            const std::uint32_t wavefront = r.wavefront;
-            const bool leader = r.leader;
-            respond(std::move(r), h.paPage, h.largePage,
-                    cfg_.tlbLatency);
-            maybePrefetch(va, ctx, wavefront, leader);
-            return;
-        }
-        respond(std::move(r), h.paPage, h.largePage, cfg_.tlbLatency);
+    if (!hit) {
+        a.stage = Arrival::Stage::Enqueue;
+        eq_.scheduleIn(cfg_.tlbLatency, a);
         return;
     }
-    eq_.scheduleIn(cfg_.tlbLatency,
-                   [this, r = std::move(r)]() mutable {
-                       enqueueWalk(std::move(r));
-                   });
+
+    ++tlbHits_;
+    sim::debug::log("tlb", eq_.now(), "IOMMU TLB hit va=", std::hex,
+                    r.vaPage, std::dec, " instr=", r.instruction);
+    // The reply leaves after the lookup latency.
+    ++replies_;
+    a.stage = Arrival::Stage::Respond;
+    a.paPage = hit->paPage;
+    a.largePage = hit->largePage;
+    eq_.scheduleIn(cfg_.tlbLatency, a);
+    if (!prefetcher_)
+        return;
+
+    // First demand touch of a prefetched translation: the speculation
+    // paid off.
+    const std::uint64_t key = mem::pageCtxKey(r.ctx, r.vaPage);
+    if (const auto pit = prefetchedUntouched_.find(key);
+        pit != prefetchedUntouched_.end()) {
+        prefetchedUntouched_.erase(pit);
+        ++prefetchUseful_;
+        traceWalk(trace::EventKind::PrefetchUseful, r);
+    }
+    // A hit is still a demand touch: without this the stream starves
+    // as soon as the prefetcher starts covering it.
+    maybePrefetch(r.vaPage, r.ctx, r.wavefront, r.leader);
 }
 
 void
-Iommu::enqueueWalk(tlb::TranslationRequest req)
+Iommu::enqueueWalk(tlb::TranslationRequest &&req)
 {
     ++walkRequests_;
     bufferOccupancy_.sample(static_cast<double>(buffer_.size()));
@@ -437,7 +448,7 @@ Iommu::enqueueWalk(tlb::TranslationRequest req)
 }
 
 void
-Iommu::admitDemand(core::PendingWalk walk)
+Iommu::admitDemand(core::PendingWalk &&walk)
 {
     // An idle walker implies the buffer and overflow FIFO are empty
     // (dispatch drains the buffer whenever a walker frees up), so the
@@ -452,7 +463,7 @@ Iommu::admitDemand(core::PendingWalk walk)
 }
 
 void
-Iommu::queueDemand(core::PendingWalk walk)
+Iommu::queueDemand(core::PendingWalk &&walk)
 {
     if (buffer_.full()) {
         ++overflowed_;
@@ -467,7 +478,7 @@ Iommu::queueDemand(core::PendingWalk walk)
 }
 
 void
-Iommu::admitSpeculative(core::PendingWalk walk)
+Iommu::admitSpeculative(core::PendingWalk &&walk)
 {
     ++specAdmitted_;
     traceWalk(trace::EventKind::SpecAdmitted, walk.request,
@@ -477,7 +488,7 @@ Iommu::admitSpeculative(core::PendingWalk walk)
 }
 
 void
-Iommu::admitToBuffer(core::PendingWalk walk)
+Iommu::admitToBuffer(core::PendingWalk &&walk)
 {
     // Arrival-time scoring (paper actions 1-a and 1-b): probe the PWCs
     // for this request's own cost, then fold it into the running score
@@ -606,7 +617,7 @@ Iommu::dispatchSpec(PageTableWalker &walker)
 }
 
 void
-Iommu::startPrefetch(PageTableWalker &walker, core::PendingWalk walk)
+Iommu::startPrefetch(PageTableWalker &walker, core::PendingWalk &&walk)
 {
     // Counted at start, not admission: only walks that actually start
     // participate in walk conservation. Metrics and the scheduler are
@@ -616,11 +627,11 @@ Iommu::startPrefetch(PageTableWalker &walker, core::PendingWalk walk)
               walk.specConfidencePermille, walk.specTriggerPage,
               walker.id());
     walker.start(std::move(walk),
-                 [this](WalkResult r) { onWalkDone(std::move(r)); });
+                 [this](WalkResult &&r) { onWalkDone(std::move(r)); });
 }
 
 void
-Iommu::dispatchTo(PageTableWalker &walker, core::PendingWalk walk,
+Iommu::dispatchTo(PageTableWalker &walker, core::PendingWalk &&walk,
                   core::PickReason reason)
 {
     sim::debug::log("sched", eq_.now(), "dispatch va=", std::hex,
@@ -650,12 +661,13 @@ Iommu::dispatchTo(PageTableWalker &walker, core::PendingWalk walk,
     }
     traceWalk(trace::EventKind::Scheduled, walk.request,
               static_cast<std::uint64_t>(reason), wait, walker.id());
-    walker.start(std::move(walk),
-                 [this](WalkResult result) { onWalkDone(std::move(result)); });
+    walker.start(std::move(walk), [this](WalkResult &&result) {
+        onWalkDone(std::move(result));
+    });
 }
 
 void
-Iommu::onWalkDone(WalkResult result)
+Iommu::onWalkDone(WalkResult &&result)
 {
     if (result.faulted) {
         handleFaultedWalk(std::move(result));
@@ -717,7 +729,7 @@ Iommu::onWalkDone(WalkResult result)
             mem::pageCtxKey(completedCtx, completedVa), true);
     } else {
         respond(std::move(result.walk.request), result.paPage,
-                result.largePage, 0);
+                result.largePage);
     }
 
     // The finishing walker is idle now: service the backlog.
@@ -728,7 +740,7 @@ Iommu::onWalkDone(WalkResult result)
 }
 
 void
-Iommu::handleFaultedWalk(WalkResult result)
+Iommu::handleFaultedWalk(WalkResult &&result)
 {
     GPUWALK_ASSERT(gmmu_, "faulted walk without a GMMU attached");
     // Prefetch walks only start on pages that are resident and pinned
@@ -782,7 +794,7 @@ Iommu::onFaultServiced(ContextId ctx, mem::Addr va_page)
 }
 
 void
-Iommu::reenterWalk(core::PendingWalk walk)
+Iommu::reenterWalk(core::PendingWalk &&walk)
 {
     // A re-entered walk is a new scheduling arrival: the buffer's
     // monotone-seq insert and the aging bookkeeping both demand a

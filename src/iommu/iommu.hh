@@ -38,6 +38,7 @@
 #include "mem/types.hh"
 #include "sim/event_queue.hh"
 #include "sim/flat_map.hh"
+#include "sim/object_pool.hh"
 #include "sim/rate_limiter.hh"
 #include "sim/stats.hh"
 #include "tlb/set_assoc_tlb.hh"
@@ -346,14 +347,41 @@ class Iommu : public tlb::TranslationService
     sim::StatGroup &stats() { return statGroup_; }
 
   private:
-    void lookupTlbs(tlb::TranslationRequest req);
-    void respond(tlb::TranslationRequest req, mem::Addr pa_page,
-                 bool large_page, sim::Tick delay);
-    void enqueueWalk(tlb::TranslationRequest req);
+    /**
+     * One GPU request, stored once from arrival until an IOMMU TLB
+     * answers it or it becomes a PendingWalk. Its event is rescheduled
+     * for each stage: the GPU->IOMMU hop, the front port, the TLB
+     * lookup, then the reply or the walk-path entry. Pooled.
+     */
+    struct Arrival final : sim::Event
+    {
+        enum class Stage : std::uint8_t
+        {
+            Hop,
+            FrontPort,
+            Respond,
+            Enqueue,
+        };
+
+        /** Runs the current stage. */
+        void process() override;
+
+        Iommu *iommu = nullptr;
+        tlb::TranslationRequest req;
+        Stage stage = Stage::Hop;
+        mem::Addr paPage = 0;   ///< Respond: the TLB hit's translation
+        bool largePage = false; ///< Respond: its page size
+    };
+
+    void lookupTlbs(Arrival &a);
+    /** Answers a request now (walk completions). */
+    void respond(tlb::TranslationRequest &&req, mem::Addr pa_page,
+                 bool large_page);
+    void enqueueWalk(tlb::TranslationRequest &&req);
     /** Starts demand walk @p walk on an idle walker, else queues it. */
-    void admitDemand(core::PendingWalk walk);
+    void admitDemand(core::PendingWalk &&walk);
     /** Buffers demand walk @p walk, or overflows it when full. */
-    void queueDemand(core::PendingWalk walk);
+    void queueDemand(core::PendingWalk &&walk);
     void maybePrefetch(mem::Addr touched_va_page, ContextId ctx,
                        std::uint32_t wavefront, bool leader);
     /** The speculation gate: @p page is in neither IOMMU TLB, has no
@@ -365,7 +393,7 @@ class Iommu : public tlb::TranslationService
                                        std::uint32_t wavefront,
                                        const PrefetchCandidate &cand,
                                        mem::Addr trigger_va_page);
-    void startPrefetch(PageTableWalker &walker, core::PendingWalk walk);
+    void startPrefetch(PageTableWalker &walker, core::PendingWalk &&walk);
     /** Cancels an unissued prediction: releases its in-flight count
      *  and its pin. */
     void dropStalePrefetch(const core::PendingWalk &walk);
@@ -379,17 +407,17 @@ class Iommu : public tlb::TranslationService
     void noteInflight(ContextId ctx, mem::Addr va_page);
     void releaseInflight(ContextId ctx, mem::Addr va_page);
     TenantCounters &tenantSlot(ContextId ctx);
-    void admitToBuffer(core::PendingWalk walk);
-    void admitSpeculative(core::PendingWalk walk);
+    void admitToBuffer(core::PendingWalk &&walk);
+    void admitSpeculative(core::PendingWalk &&walk);
     void promoteAgedSpec();
     void dispatchIfPossible();
     void dispatchSpec(PageTableWalker &walker);
-    void dispatchTo(PageTableWalker &walker, core::PendingWalk walk,
+    void dispatchTo(PageTableWalker &walker, core::PendingWalk &&walk,
                     core::PickReason reason);
-    void onWalkDone(WalkResult result);
-    void handleFaultedWalk(WalkResult result);
+    void onWalkDone(WalkResult &&result);
+    void handleFaultedWalk(WalkResult &&result);
     void onFaultServiced(ContextId ctx, mem::Addr va_page);
-    void reenterWalk(core::PendingWalk walk);
+    void reenterWalk(core::PendingWalk &&walk);
     PageTableWalker *idleWalker();
 
     /** First idle walker, or nullptr while any demand walk waits
@@ -402,6 +430,8 @@ class Iommu : public tlb::TranslationService
     mem::BackingStore &store_;
 
     sim::RateLimiter frontPort_;
+    /** Requests between arrival and reply or walk-path entry. */
+    sim::ObjectPool<Arrival> arrivalPool_{256};
     std::unique_ptr<mem::Cache> walkCache_;
     tlb::SetAssocTlb l1Tlb_;
     tlb::SetAssocTlb l2Tlb_;

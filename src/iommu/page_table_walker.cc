@@ -6,7 +6,7 @@
 namespace gpuwalk::iommu {
 
 void
-PageTableWalker::start(core::PendingWalk walk, DoneCallback on_done)
+PageTableWalker::start(core::PendingWalk &&walk, DoneCallback on_done)
 {
     GPUWALK_ASSERT(!busy_, "walker already busy");
     busy_ = true;

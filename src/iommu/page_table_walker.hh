@@ -52,7 +52,7 @@ class PageTableWalker
 {
   public:
     /** Inline-stored completion callback (the IOMMU passes [this]). */
-    using DoneCallback = sim::InlineFunction<void(WalkResult), 16>;
+    using DoneCallback = sim::InlineFunction<void(WalkResult &&), 16>;
 
     /**
      * @param eq Event queue.
@@ -91,7 +91,7 @@ class PageTableWalker
      * @p on_done fires at completion with the result.
      * @pre !busy()
      */
-    void start(core::PendingWalk walk, DoneCallback on_done);
+    void start(core::PendingWalk &&walk, DoneCallback on_done);
 
   private:
     void step();

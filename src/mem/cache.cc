@@ -89,63 +89,77 @@ Cache::access(MemoryRequest req)
     const Addr line = lineOf(req.addr);
     const Addr line_addr = line << lineShift_;
 
+    Reply *r = replyPool_.acquire();
+    r->cache = this;
+    r->req = std::move(req);
+
     const std::size_t slot = findSlot(line);
     if (slot != npos) {
         ++hits_;
         lastUse_[slot] = ++useClock_;
-        dirty_[slot] |= req.write;
-        eq_.scheduleIn(cfg_.hitLatency,
-                       [r = std::move(req)]() mutable { r.complete(); });
+        dirty_[slot] |= r->req.write;
+        eq_.scheduleIn(cfg_.hitLatency, *r);
         return;
     }
 
     // Miss: merge into an existing MSHR if the line is already inbound.
-    auto it = mshrs_.find(line_addr);
-    if (it != mshrs_.end()) {
+    r->next = nullptr;
+    const auto [it, fresh] = mshrs_.try_emplace(line_addr, nullptr);
+    if (!fresh) {
         ++mshrMerges_;
-        it->second->anyWrite = it->second->anyWrite || req.write;
-        it->second->waiters.push_back(std::move(req));
+        Mshr *mshr = it->second;
+        mshr->anyWrite = mshr->anyWrite || r->req.write;
+        mshr->tail->next = r;
+        mshr->tail = r;
         return;
     }
 
     ++misses_;
     Mshr *mshr = mshrPool_.acquire();
-    mshr->anyWrite = req.write;
-    MemoryRequest fill;
-    fill.addr = line_addr;
-    fill.size = static_cast<unsigned>(cfg_.lineBytes);
-    fill.write = false;
-    fill.requester = req.requester;
-    fill.instruction = req.instruction;
-    fill.wavefront = req.wavefront;
-    fill.cu = req.cu;
-    fill.onComplete = [this, line_addr] { handleFill(line_addr); };
-    mshr->waiters.push_back(std::move(req));
-    mshrs_.emplace(line_addr, mshr);
+    it->second = mshr;
+    mshr->cache = this;
+    mshr->lineAddr = line_addr;
+    mshr->anyWrite = r->req.write;
+    mshr->head = mshr->tail = r;
 
     // Tag lookup happens before the fill is sent downstream.
-    eq_.scheduleIn(cfg_.tagLatency,
-                   [this, f = std::move(fill)]() mutable {
-                       below_.access(std::move(f));
-                   });
+    eq_.scheduleIn(cfg_.tagLatency, *mshr);
 }
 
 void
-Cache::handleFill(Addr line_addr)
+Cache::Mshr::process()
 {
-    auto it = mshrs_.find(line_addr);
-    GPUWALK_ASSERT(it != mshrs_.end(), "fill without MSHR for ",
-                   line_addr);
-    Mshr *mshr = it->second;
-    mshrs_.erase(it);
+    const MemoryRequest &first = head->req;
+    MemoryRequest fill;
+    fill.addr = lineAddr;
+    fill.size = static_cast<unsigned>(cache->cfg_.lineBytes);
+    fill.write = false;
+    fill.requester = first.requester;
+    fill.instruction = first.instruction;
+    fill.wavefront = first.wavefront;
+    fill.cu = first.cu;
+    fill.onComplete = [c = cache, m = this] { c->handleFill(m); };
+    cache->below_.access(std::move(fill));
+}
 
-    installLine(line_addr, mshr->anyWrite);
+void
+Cache::Reply::process()
+{
+    Cache *c = cache;
+    req.complete();
+    c->replyPool_.release(this);
+}
 
-    for (auto &w : mshr->waiters) {
-        eq_.scheduleIn(cfg_.hitLatency,
-                       [r = std::move(w)]() mutable { r.complete(); });
-    }
-    mshr->waiters.clear();
+void
+Cache::handleFill(Mshr *mshr)
+{
+    const bool erased = mshrs_.erase(mshr->lineAddr);
+    GPUWALK_ASSERT(erased, "fill without MSHR for ", mshr->lineAddr);
+
+    installLine(mshr->lineAddr, mshr->anyWrite);
+
+    for (Reply *r = mshr->head; r; r = r->next)
+        eq_.scheduleIn(cfg_.hitLatency, *r);
     mshrPool_.release(mshr);
 }
 
@@ -163,6 +177,8 @@ Cache::registerInvariants(sim::Auditor &auditor)
                         " in-flight misses never filled");
             ctx.require(mshrPool_.inUse() == 0, "MSHR pool leaks ",
                         mshrPool_.inUse(), " entries at drain");
+            ctx.require(replyPool_.inUse() == 0, "request pool leaks ",
+                        replyPool_.inUse(), " records at drain");
         });
 }
 

@@ -87,18 +87,43 @@ class Cache : public MemoryDevice
 
     /**
      * Registers this cache's conservation invariants (MSHR table vs.
-     * pool accounting), named after the cache so one auditor can hold
-     * every cache in the system apart.
+     * pool accounting; every request record returned at drain), named
+     * after the cache so one auditor can hold every cache in the
+     * system apart.
      */
     void registerInvariants(sim::Auditor &auditor);
 
   private:
-    /** Pooled and recycled with its waiter-vector capacity intact, so
-     *  the steady-state miss path does not allocate. */
-    struct Mshr
+    /**
+     * One accepted request, stored once from arrival to reply. A hit
+     * waits out the hit latency in it; a miss waits on its line's
+     * MSHR list, then replies through the same embedded event. Pooled.
+     */
+    struct Reply final : sim::Event
     {
-        std::vector<MemoryRequest> waiters;
+        /** Completes the request and returns the record to the pool. */
+        void process() override;
+
+        Cache *cache = nullptr;
+        MemoryRequest req;
+        Reply *next = nullptr; ///< next waiter on the same MSHR
+    };
+
+    /**
+     * One in-flight line. Its event forwards the fill below once the
+     * tag lookup is paid; the waiters it collects reply in arrival
+     * order when the fill returns. Pooled.
+     */
+    struct Mshr final : sim::Event
+    {
+        /** Sends the line fill to the next level. */
+        void process() override;
+
+        Cache *cache = nullptr;
+        Addr lineAddr = 0;
         bool anyWrite = false;
+        Reply *head = nullptr; ///< the missing request, then merges
+        Reply *tail = nullptr;
     };
 
     /** Tag words: the line's tag shifted left one, low bit = valid. */
@@ -117,7 +142,7 @@ class Cache : public MemoryDevice
     /** Slot holding @p line, or npos. */
     std::size_t findSlot(Addr line) const;
     void installLine(Addr line_addr, bool dirty);
-    void handleFill(Addr line_addr);
+    void handleFill(Mshr *mshr);
 
     static constexpr std::size_t npos = ~std::size_t{0};
 
@@ -133,6 +158,7 @@ class Cache : public MemoryDevice
     std::vector<std::uint8_t> dirty_;
     sim::FlatMap<Addr, Mshr *> mshrs_; ///< keyed by line base addr
     sim::ObjectPool<Mshr> mshrPool_{64};
+    sim::ObjectPool<Reply> replyPool_{256};
     std::uint64_t useClock_ = 0;
 
     sim::StatGroup statGroup_;

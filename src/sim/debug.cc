@@ -1,6 +1,7 @@
 #include "sim/debug.hh"
 
 #include <cstdlib>
+#include <functional>
 #include <set>
 
 namespace gpuwalk::sim::debug {
@@ -8,11 +9,11 @@ namespace gpuwalk::sim::debug {
 namespace {
 
 /** Parses GPUWALK_DEBUG once into a flag set. */
-const std::set<std::string> &
+const std::set<std::string, std::less<>> &
 activeFlags()
 {
-    static const std::set<std::string> flags = [] {
-        std::set<std::string> out;
+    static const std::set<std::string, std::less<>> flags = [] {
+        std::set<std::string, std::less<>> out;
         const char *env = std::getenv("GPUWALK_DEBUG");
         if (!env)
             return out;
@@ -36,7 +37,7 @@ activeFlags()
 } // namespace
 
 bool
-enabled(const std::string &flag)
+enabled(std::string_view flag)
 {
     const auto &flags = activeFlags();
     if (flags.empty())
@@ -47,9 +48,15 @@ enabled(const std::string &flag)
 namespace detail {
 
 void
-emit(const std::string &flag, Tick now, const std::string &msg)
+emit(std::string_view flag, Tick now, const std::string &msg)
 {
     std::cerr << now << ": [" << flag << "] " << msg << "\n";
+}
+
+bool
+readAnyFlagSet()
+{
+    return !activeFlags().empty();
 }
 
 } // namespace detail

@@ -11,8 +11,9 @@
  * Flags used by the library: "walks" (walker start/finish), "sched"
  * (buffer admission and dispatch decisions), "tlb" (IOMMU TLB
  * hits/misses), "dram" (memory controller issue), "gpu" (instruction
- * issue/retire). Tracing is off (and costs one predictable branch)
- * unless the environment variable names the flag.
+ * issue/retire). With GPUWALK_DEBUG unset a log call costs one load
+ * and one predictable branch: no string is built and nothing is
+ * called out of line.
  */
 
 #ifndef GPUWALK_SIM_DEBUG_HH
@@ -21,16 +22,30 @@
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <string_view>
 
 #include "sim/ticks.hh"
 
 namespace gpuwalk::sim::debug {
 
 /** True if GPUWALK_DEBUG contains @p flag (or "all"). */
-bool enabled(const std::string &flag);
+bool enabled(std::string_view flag);
 
 namespace detail {
-void emit(const std::string &flag, Tick now, const std::string &msg);
+void emit(std::string_view flag, Tick now, const std::string &msg);
+
+/** Parses GPUWALK_DEBUG; true if it names any flag. */
+bool readAnyFlagSet();
+
+/** readAnyFlagSet(), evaluated on first use (not at static
+ *  initialisation, so a process may still set the variable before
+ *  its first log call) and cached. */
+inline bool
+anyFlagSet()
+{
+    static const bool any = readAnyFlagSet();
+    return any;
+}
 } // namespace detail
 
 /**
@@ -39,9 +54,9 @@ void emit(const std::string &flag, Tick now, const std::string &msg);
  */
 template <typename... Args>
 void
-log(const std::string &flag, Tick now, Args &&...args)
+log(std::string_view flag, Tick now, Args &&...args)
 {
-    if (!enabled(flag))
+    if (!detail::anyFlagSet() || !enabled(flag))
         return;
     std::ostringstream os;
     (os << ... << std::forward<Args>(args));

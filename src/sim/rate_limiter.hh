@@ -32,8 +32,9 @@ class RateLimiter
 
     /**
      * Runs @p action at the port's next free slot (>= now), in
-     * submission order. Forwarded straight into a pooled event node —
-     * no intermediate std::function.
+     * submission order. @p action is an intrusive sim::Event (scheduled
+     * in place) or a callable (forwarded straight into a pooled event
+     * node — no intermediate std::function).
      */
     template <typename F>
     void

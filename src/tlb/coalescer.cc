@@ -34,20 +34,23 @@ class SeenSet
         }
     }
 
-    /** Adds @p key; @return true if it was not already present. */
-    bool
-    insert(mem::Addr key)
+    /**
+     * Adds @p key with value @p value unless it is present.
+     * @return the value stored for @p key (@p value if it was added).
+     */
+    std::uint32_t
+    insert(mem::Addr key, std::uint32_t value)
     {
         const std::size_t mask = (std::size_t(1) << (64 - shift_)) - 1;
         std::size_t i = static_cast<std::size_t>(
             (key * 0x9e3779b97f4a7c15ull) >> shift_);
         while (slots_[i].gen == gen_) {
             if (slots_[i].key == key)
-                return false;
+                return slots_[i].value;
             i = (i + 1) & mask;
         }
-        slots_[i] = Slot{key, gen_};
-        return true;
+        slots_[i] = Slot{key, gen_, value};
+        return value;
     }
 
   private:
@@ -55,6 +58,7 @@ class SeenSet
     {
         mem::Addr key = 0;
         std::uint32_t gen = 0;
+        std::uint32_t value = 0;
     };
 
     std::vector<Slot> slots_;
@@ -62,16 +66,19 @@ class SeenSet
     unsigned shift_ = 60;
 };
 
-/** Appends @p a to @p out unless @p seen already holds it. A repeat of
- *  the last appended address — adjacent lanes on one line or page —
- *  skips the probe. */
-void
-appendUnique(std::vector<mem::Addr> &out, SeenSet &seen, mem::Addr a)
+/** Position of @p a in @p out, appending it unless @p seen already
+ *  holds it. A repeat of the last appended address — adjacent lanes on
+ *  one line or page — skips the probe. */
+std::uint32_t
+indexOf(std::vector<mem::Addr> &out, SeenSet &seen, mem::Addr a)
 {
-    if (!out.empty() && out.back() == a)
-        return;
-    if (seen.insert(a))
+    const auto size = static_cast<std::uint32_t>(out.size());
+    if (size > 0 && out.back() == a)
+        return size - 1;
+    const std::uint32_t at = seen.insert(a, size);
+    if (at == size)
         out.push_back(a);
+    return at;
 }
 
 } // namespace
@@ -86,12 +93,16 @@ coalesce(const std::vector<mem::Addr> &lane_addrs)
     out.activeLanes = static_cast<unsigned>(lane_addrs.size());
     out.pages.reserve(lane_addrs.size());
     out.lines.reserve(lane_addrs.size());
+    out.linePage.reserve(lane_addrs.size());
     seen_pages.reset(lane_addrs.size());
     seen_lines.reset(lane_addrs.size());
 
     for (mem::Addr a : lane_addrs) {
-        appendUnique(out.pages, seen_pages, mem::pageAlign(a));
-        appendUnique(out.lines, seen_lines, mem::lineAlign(a));
+        const std::uint32_t page =
+            indexOf(out.pages, seen_pages, mem::pageAlign(a));
+        const std::size_t lines = out.lines.size();
+        if (indexOf(out.lines, seen_lines, mem::lineAlign(a)) == lines)
+            out.linePage.push_back(page);
     }
     return out;
 }

@@ -29,6 +29,9 @@ struct CoalescedAccess
     /** Unique line-aligned virtual addresses (cache accesses). */
     std::vector<mem::Addr> lines;
 
+    /** For each of lines, the position of its page in pages. */
+    std::vector<std::uint32_t> linePage;
+
     /** Active lanes that produced the above. */
     unsigned activeLanes = 0;
 

@@ -22,6 +22,8 @@ SetAssocTlb::SetAssocTlb(const TlbConfig &cfg)
     : cfg_(cfg), statGroup_(cfg.name)
 {
     GPUWALK_ASSERT(cfg_.entries > 0, "TLB must have entries");
+    GPUWALK_ASSERT(cfg_.associativity > 0 && cfg_.associativity <= 64,
+                   "TLB associativity must be 1..64 in ", cfg_.name);
     GPUWALK_ASSERT(cfg_.entries % cfg_.associativity == 0,
                    "entries not divisible by associativity in ",
                    cfg_.name);
@@ -29,10 +31,23 @@ SetAssocTlb::SetAssocTlb(const TlbConfig &cfg)
     GPUWALK_ASSERT(std::has_single_bit(numSets_),
                    "TLB set count must be a power of two in ",
                    cfg_.name);
-    const std::size_t slots = numSets_ * cfg_.associativity;
+    const std::size_t ways = cfg_.associativity;
+    const std::size_t slots = numSets_ * ways;
     tag_.assign(slots, 0);
     ppn_.assign(slots, 0);
-    lastUse_.assign(slots, 0);
+
+    // Every set starts empty, its ways listed 0 (MRU) .. ways-1 (LRU).
+    newer_.resize(slots);
+    older_.resize(slots);
+    for (std::size_t i = 0; i < slots; ++i) {
+        const std::size_t way = i % ways;
+        newer_[i] = static_cast<std::uint8_t>(way == 0 ? 0 : way - 1);
+        older_[i] = static_cast<std::uint8_t>(way + 1 == ways ? way
+                                                              : way + 1);
+    }
+    mru_.assign(numSets_, 0);
+    lru_.assign(numSets_, static_cast<std::uint8_t>(ways - 1));
+    invalid_.assign(numSets_, allWays());
 
     statGroup_.add(hits_);
     statGroup_.add(misses_);
@@ -40,31 +55,32 @@ SetAssocTlb::SetAssocTlb(const TlbConfig &cfg)
     statGroup_.add(evictions_);
 }
 
-std::size_t
+SetAssocTlb::Where
 SetAssocTlb::findSlot(mem::Addr va_page, bool large, ContextId ctx) const
 {
     if (large && largeResident_ == 0)
-        return npos;
+        return {};
     const mem::Addr vpn =
         large ? largeVpn(va_page) : mem::pageNumber(va_page);
-    const std::size_t base = setIndex(vpn, ctx) * cfg_.associativity;
+    const std::size_t set = setIndex(vpn, ctx);
+    const std::size_t base = set * cfg_.associativity;
     // The context is part of the tag: a VPN never hits across address
     // spaces.
     const mem::Addr want = packTag(vpn, ctx, large);
     for (std::size_t i = base; i < base + cfg_.associativity; ++i) {
         if (tag_[i] == want)
-            return i;
+            return {i, set};
     }
-    return npos;
+    return {};
 }
 
-std::size_t
+SetAssocTlb::Where
 SetAssocTlb::findAny(mem::Addr va_page, ContextId ctx) const
 {
     // Small entries first (exact match), then the covering 2 MB entry.
-    const std::size_t small = findSlot(va_page, /*large=*/false, ctx);
-    return small != npos ? small : findSlot(va_page, /*large=*/true,
-                                            ctx);
+    const Where small = findSlot(va_page, /*large=*/false, ctx);
+    return small.slot != npos ? small
+                              : findSlot(va_page, /*large=*/true, ctx);
 }
 
 TlbHit
@@ -78,17 +94,52 @@ SetAssocTlb::hitAt(std::size_t i, mem::Addr va_page) const
     return TlbHit{base | offset, true};
 }
 
+void
+SetAssocTlb::touch(std::size_t set, std::size_t way)
+{
+    const auto w = static_cast<std::uint8_t>(way);
+    const std::uint8_t head = mru_[set];
+    if (head == w)
+        return;
+    const std::size_t base = set * cfg_.associativity;
+    // Unlink: a way below the head always has a newer neighbour.
+    const std::uint8_t newer = newer_[base + way];
+    const std::uint8_t older = older_[base + way];
+    if (lru_[set] == w) {
+        lru_[set] = newer;
+    } else {
+        newer_[base + older] = newer;
+    }
+    older_[base + newer] = older;
+    // Relink at the MRU end.
+    older_[base + way] = head;
+    newer_[base + head] = w;
+    mru_[set] = w;
+}
+
+void
+SetAssocTlb::drop(Where w)
+{
+    if (tag_[w.slot] & largeBit)
+        --largeResident_;
+    tag_[w.slot] = 0;
+    // The way keeps its list position: invalid ways are filled before
+    // the LRU end is ever read, and a fill moves its way to the head.
+    invalid_[w.set] |= std::uint64_t(1)
+                       << (w.slot - w.set * cfg_.associativity);
+}
+
 std::optional<TlbHit>
 SetAssocTlb::lookupEntry(mem::Addr va_page, ContextId ctx)
 {
-    const std::size_t i = findAny(va_page, ctx);
-    if (i == npos) {
+    const Where w = findAny(va_page, ctx);
+    if (w.slot == npos) {
         ++misses_;
         return std::nullopt;
     }
     ++hits_;
-    lastUse_[i] = ++useClock_;
-    return hitAt(i, va_page);
+    touch(w.set, w.slot - w.set * cfg_.associativity);
+    return hitAt(w.slot, va_page);
 }
 
 std::optional<mem::Addr>
@@ -103,10 +154,10 @@ SetAssocTlb::lookup(mem::Addr va_page, ContextId ctx)
 std::optional<mem::Addr>
 SetAssocTlb::probe(mem::Addr va_page, ContextId ctx) const
 {
-    const std::size_t i = findAny(va_page, ctx);
-    if (i == npos)
+    const Where w = findAny(va_page, ctx);
+    if (w.slot == npos)
         return std::nullopt;
-    return hitAt(i, va_page).paPage;
+    return hitAt(w.slot, va_page).paPage;
 }
 
 void
@@ -118,39 +169,33 @@ SetAssocTlb::insert(mem::Addr va_page, mem::Addr pa_page,
     const mem::Addr ppn = large_page ? (pa_page >> 21)
                                      : mem::pageNumber(pa_page);
 
-    // One pass over the set: a duplicate fill is refreshed in place;
-    // otherwise the victim is the first invalid way, or failing that
-    // the true-LRU way (first-encountered on lastUse ties).
+    // A duplicate fill is refreshed in place; otherwise the victim is
+    // the first invalid way, or failing that the set's LRU way.
     const mem::Addr want = packTag(vpn, ctx, large_page);
-    const std::size_t base = setIndex(vpn, ctx) * cfg_.associativity;
-    std::size_t invalid = npos;
-    std::size_t lru = base;
+    const std::size_t set = setIndex(vpn, ctx);
+    const std::size_t base = set * cfg_.associativity;
     for (std::size_t i = base; i < base + cfg_.associativity; ++i) {
-        const mem::Addr tag = tag_[i];
-        if (tag == want) {
+        if (tag_[i] == want) {
             ppn_[i] = ppn;
-            lastUse_[i] = ++useClock_;
+            touch(set, i - base);
             return;
         }
-        if (!(tag & validBit)) {
-            if (invalid == npos)
-                invalid = i;
-        } else if (lastUse_[i] < lastUse_[lru]) {
-            lru = i;
-        }
     }
-    std::size_t victim = invalid;
-    if (victim == npos) {
-        victim = lru;
+    std::size_t way;
+    if (const std::uint64_t free = invalid_[set]) {
+        way = static_cast<std::size_t>(std::countr_zero(free));
+        invalid_[set] = free & (free - 1);
+    } else {
+        way = lru_[set];
         ++evictions_;
-        if (tag_[victim] & largeBit)
+        if (tag_[base + way] & largeBit)
             --largeResident_;
     }
 
     ++insertions_;
-    tag_[victim] = want;
-    ppn_[victim] = ppn;
-    lastUse_[victim] = ++useClock_;
+    tag_[base + way] = want;
+    ppn_[base + way] = ppn;
+    touch(set, way);
     if (large_page)
         ++largeResident_;
 }
@@ -159,28 +204,27 @@ void
 SetAssocTlb::invalidateAll()
 {
     std::fill(tag_.begin(), tag_.end(), mem::Addr{0});
+    std::fill(invalid_.begin(), invalid_.end(), allWays());
     largeResident_ = 0;
 }
 
 bool
 SetAssocTlb::invalidate(mem::Addr va_page, ContextId ctx)
 {
-    const std::size_t i = findAny(va_page, ctx);
-    if (i == npos)
+    const Where w = findAny(va_page, ctx);
+    if (w.slot == npos)
         return false;
-    if (tag_[i] & largeBit)
-        --largeResident_;
-    tag_[i] = 0;
+    drop(w);
     return true;
 }
 
 unsigned
 SetAssocTlb::population() const
 {
-    unsigned n = 0;
-    for (const mem::Addr tag : tag_)
-        n += static_cast<unsigned>(tag & validBit);
-    return n;
+    unsigned invalid = 0;
+    for (const std::uint64_t mask : invalid_)
+        invalid += static_cast<unsigned>(std::popcount(mask));
+    return cfg_.entries - invalid;
 }
 
 } // namespace gpuwalk::tlb

@@ -1,6 +1,6 @@
 /**
  * @file
- * Generic set-associative TLB with true-LRU replacement.
+ * Generic set-associative TLB with true-LRU replacement kept in O(1).
  *
  * Instantiated as: per-CU L1 TLB (32-entry fully associative), the
  * GPU-wide shared L2 TLB (512-entry 16-way), and the IOMMU's own two
@@ -8,10 +8,16 @@
  *
  * Entry state is stored structure-of-arrays. The VPN, context, page
  * size and valid bit are packed into one tag word, so matching a way
- * is a single 64-bit compare over a contiguous column; the ppn/lastUse
- * columns are only touched on a hit or a fill. The set count must be
- * a power of two so indexing is a mask, not a division — every
- * Table I geometry qualifies.
+ * is a single 64-bit compare over a contiguous column; the ppn column
+ * is only touched on a hit or a fill. The set count must be a power of
+ * two so indexing is a mask, not a division — every Table I geometry
+ * qualifies.
+ *
+ * Replacement state is a per-set recency list over way indices (MRU
+ * at the head, LRU at the tail) plus a bitmask of the set's invalid
+ * ways, so picking a victim is a first-set-bit or a tail read, never
+ * a scan. The victim is the first invalid way, else the true-LRU way.
+ * Associativity is therefore capped at 64.
  */
 
 #ifndef GPUWALK_TLB_SET_ASSOC_TLB_HH
@@ -78,7 +84,7 @@ class SetAssocTlb
 
     /**
      * Installs a translation for @p ctx, evicting LRU within the set
-     * if full. With @p large_page, the entry covers the whole 2 MB
+     * if full (the first invalid way is filled before any eviction). With @p large_page, the entry covers the whole 2 MB
      * region of @p va_page (addresses may be given at 4 KB
      * granularity).
      */
@@ -144,17 +150,36 @@ class SetAssocTlb
                | (large ? largeBit : 0) | validBit;
     }
 
-    /** Slot of the entry matching (@p va_page, @p ctx, @p large), or
-     *  npos. */
-    std::size_t findSlot(mem::Addr va_page, bool large,
-                         ContextId ctx) const;
+    /** Where an entry sits: its slot (npos when absent) and set. */
+    struct Where
+    {
+        std::size_t slot = npos;
+        std::size_t set = 0;
+    };
 
-    /** Small-before-large match of (@p va_page, @p ctx): slot or
-     *  npos. */
-    std::size_t findAny(mem::Addr va_page, ContextId ctx) const;
+    /** The entry matching (@p va_page, @p ctx, @p large). */
+    Where findSlot(mem::Addr va_page, bool large, ContextId ctx) const;
+
+    /** Small-before-large match of (@p va_page, @p ctx). */
+    Where findAny(mem::Addr va_page, ContextId ctx) const;
 
     /** The 4 KB-granular PA of @p va_page through slot @p i's entry. */
     TlbHit hitAt(std::size_t i, mem::Addr va_page) const;
+
+    /** Makes @p way the most recently used way of @p set. */
+    void touch(std::size_t set, std::size_t way);
+
+    /** Drops the entry at @p w (its way joins the invalid mask). */
+    void drop(Where w);
+
+    /** The invalid mask of a set with every way empty. */
+    std::uint64_t
+    allWays() const
+    {
+        return cfg_.associativity == 64
+                   ? ~std::uint64_t{0}
+                   : (std::uint64_t(1) << cfg_.associativity) - 1;
+    }
 
     TlbConfig cfg_;
     std::size_t numSets_;
@@ -162,9 +187,14 @@ class SetAssocTlb
     // Entry columns, slot = set * associativity + way.
     std::vector<mem::Addr> tag_;
     std::vector<mem::Addr> ppn_;
-    std::vector<std::uint64_t> lastUse_;
 
-    std::uint64_t useClock_ = 0;
+    // Recency list, per set: way links by slot, MRU/LRU ends by set.
+    std::vector<std::uint8_t> newer_; ///< toward the MRU end
+    std::vector<std::uint8_t> older_; ///< toward the LRU end
+    std::vector<std::uint8_t> mru_;
+    std::vector<std::uint8_t> lru_;
+    /** Per set: bit w set iff way w holds no valid entry. */
+    std::vector<std::uint64_t> invalid_;
 
     /** Valid 2 MB entries resident; when zero, the large-tag probe of
      *  every lookup and fill short-circuits (most runs never install

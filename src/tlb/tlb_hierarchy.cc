@@ -29,8 +29,9 @@ TlbHierarchy::TlbHierarchy(sim::EventQueue &eq,
 }
 
 void
-TlbHierarchy::translate(TranslationRequest req)
+TlbHierarchy::submit(Request &r)
 {
+    const TranslationRequest &req = r.req;
     GPUWALK_ASSERT(req.cu < cfg_.numCus, "bad CU id ", req.cu);
     ++requests_;
 
@@ -38,14 +39,6 @@ TlbHierarchy::translate(TranslationRequest req)
         if (wavefrontIo_.size() <= req.wavefront)
             wavefrontIo_.resize(req.wavefront + 1);
         ++wavefrontIo_[req.wavefront].in;
-        auto inner = std::move(req.onComplete);
-        req.onComplete = [this, wf = req.wavefront,
-                          cb = std::move(inner)](mem::Addr pa_page,
-                                                 bool large) mutable {
-            ++wavefrontIo_[wf].out;
-            if (cb)
-                cb(pa_page, large);
-        };
     }
 
     if (tracer_) {
@@ -61,114 +54,140 @@ TlbHierarchy::translate(TranslationRequest req)
 
     // Claim the CU's single L1 TLB lookup port, then pay the lookup
     // latency. Bursts from one SIMD instruction serialize here.
-    l1Ports_[req.cu]->submit([this, r = std::move(req)]() mutable {
-        eq_.scheduleIn(cfg_.l1Latency,
-                       [this, r = std::move(r)]() mutable {
-                           lookupL1(std::move(r));
-                       });
-    });
+    r.stage = Request::Stage::L1Port;
+    l1Ports_[req.cu]->submit(r);
 }
 
 void
-TlbHierarchy::lookupL1(TranslationRequest r)
+TlbHierarchy::Request::process()
 {
-    SetAssocTlb &l1 = *l1s_[r.cu];
-    if (auto hit = l1.lookupEntry(r.vaPage, r.ctx)) {
-        r.complete(hit->paPage, hit->largePage);
+    switch (stage) {
+      case Stage::L1Port:
+        stage = Stage::L1Lookup;
+        tlbs->eq_.scheduleIn(tlbs->cfg_.l1Latency, *this);
+        return;
+      case Stage::L1Lookup:
+        tlbs->lookupL1(*this);
+        return;
+      case Stage::L2Port:
+        stage = Stage::L2Lookup;
+        tlbs->eq_.scheduleIn(tlbs->cfg_.l2Latency, *this);
+        return;
+      case Stage::L2Lookup:
+        tlbs->accessL2(*this);
+        return;
+    }
+}
+
+void
+TlbHierarchy::lookupL1(Request &r)
+{
+    const TranslationRequest &req = r.req;
+    if (auto hit = l1s_[req.cu]->lookupEntry(req.vaPage, req.ctx)) {
+        reply(r, hit->paPage, hit->largePage);
         return;
     }
 
     // Merge with an in-flight miss from this CU to the same page of
     // the same address space.
-    const std::uint64_t key = l1Key(r.ctx, r.cu, r.vaPage);
-    auto it = l1Inflight_.find(key);
-    if (it != l1Inflight_.end()) {
+    r.nextL1 = nullptr;
+    const auto [it, fresh] =
+        l1Inflight_.try_emplace(l1Key(req.ctx, req.cu, req.vaPage), &r);
+    if (!fresh) {
         ++l1Merged_;
-        it->second->waiters.push_back(std::move(r));
+        Request *leader = it->second;
+        leader->tailL1->nextL1 = &r;
+        leader->tailL1 = &r;
         return;
     }
-    MergeEntry *entry = mergePool_.acquire();
-    entry->waiters.push_back(std::move(r));
-    l1Inflight_.emplace(key, entry);
-    const TranslationRequest &leader = entry->waiters.front();
+    r.tailL1 = &r;
 
-    TranslationRequest down;
-    down.vaPage = leader.vaPage;
-    down.instruction = leader.instruction;
-    down.wavefront = leader.wavefront;
-    down.cu = leader.cu;
-    down.app = leader.app;
-    down.ctx = leader.ctx;
-    down.leader = leader.leader;
-    down.onComplete = [this, cu = leader.cu, va = leader.vaPage,
-                       ctx = leader.ctx](mem::Addr pa_page, bool large) {
-        auto node = l1Inflight_.find(l1Key(ctx, cu, va));
-        GPUWALK_ASSERT(node != l1Inflight_.end(), "orphan L1 fill");
-        MergeEntry *filled = node->second;
-        l1Inflight_.erase(node);
-        l1s_[cu]->insert(va, pa_page, large, ctx);
-        for (auto &w : filled->waiters)
-            w.complete(pa_page, large);
-        filled->waiters.clear();
-        mergePool_.release(filled);
-    };
-
-    // The shared L2 TLB is also single-ported: the eight CUs' miss
-    // streams multiplex here, which is where walk requests from
-    // different instructions start interleaving (paper §III-B).
-    l2Port_.submit([this, d = std::move(down)]() mutable {
-        eq_.scheduleIn(cfg_.l2Latency,
-                       [this, d = std::move(d)]() mutable {
-                           accessL2(std::move(d));
-                       });
-    });
+    // The leader itself goes on to the shared L2 TLB, which is also
+    // single-ported: the eight CUs' miss streams multiplex here, which
+    // is where walk requests from different instructions start
+    // interleaving (paper §III-B).
+    r.stage = Request::Stage::L2Port;
+    l2Port_.submit(r);
 }
 
 void
-TlbHierarchy::accessL2(TranslationRequest req)
+TlbHierarchy::accessL2(Request &r)
 {
+    const TranslationRequest &req = r.req;
     noteL2Access(req.wavefront);
 
     if (auto hit = l2_.lookupEntry(req.vaPage, req.ctx)) {
-        req.complete(hit->paPage, hit->largePage);
+        fillL1(r, hit->paPage, hit->largePage);
         return;
     }
 
-    const std::uint64_t key = l2Key(req.ctx, req.vaPage);
-    auto it = l2Inflight_.find(key);
-    if (it != l2Inflight_.end()) {
+    r.nextL2 = nullptr;
+    const auto [it, fresh] =
+        l2Inflight_.try_emplace(l2Key(req.ctx, req.vaPage), &r);
+    if (!fresh) {
         ++l2Merged_;
-        it->second->waiters.push_back(std::move(req));
+        Request *leader = it->second;
+        leader->tailL2->nextL2 = &r;
+        leader->tailL2 = &r;
         return;
     }
-
-    MergeEntry *entry = mergePool_.acquire();
-    entry->waiters.push_back(std::move(req));
-    l2Inflight_.emplace(key, entry);
-    const TranslationRequest &leader = entry->waiters.front();
+    r.tailL2 = &r;
 
     ++iommuRequests_;
     TranslationRequest down;
-    down.vaPage = leader.vaPage;
-    down.instruction = leader.instruction;
-    down.wavefront = leader.wavefront;
-    down.cu = leader.cu;
-    down.app = leader.app;
-    down.ctx = leader.ctx;
-    down.leader = leader.leader;
-    down.onComplete = [this, key, va_page = leader.vaPage,
-                       ctx = leader.ctx](mem::Addr pa_page, bool large) {
-        auto node = l2Inflight_.find(key);
-        GPUWALK_ASSERT(node != l2Inflight_.end(), "orphan L2 fill");
-        MergeEntry *filled = node->second;
-        l2Inflight_.erase(node);
-        l2_.insert(va_page, pa_page, large, ctx);
-        for (auto &w : filled->waiters)
-            w.complete(pa_page, large);
-        filled->waiters.clear();
-        mergePool_.release(filled);
+    down.vaPage = req.vaPage;
+    down.instruction = req.instruction;
+    down.wavefront = req.wavefront;
+    down.cu = req.cu;
+    down.app = req.app;
+    down.ctx = req.ctx;
+    down.leader = req.leader;
+    down.onComplete = [this, leader = &r](mem::Addr pa_page, bool large) {
+        fillL2(*leader, pa_page, large);
     };
     iommu_.translate(std::move(down));
+}
+
+void
+TlbHierarchy::fillL2(Request &leader, mem::Addr pa_page, bool large)
+{
+    const TranslationRequest &req = leader.req;
+    const bool erased = l2Inflight_.erase(l2Key(req.ctx, req.vaPage));
+    GPUWALK_ASSERT(erased, "orphan L2 fill");
+    l2_.insert(req.vaPage, pa_page, large, req.ctx);
+    // Each L1 leader replies to its own list; read the link first,
+    // since the fill returns the record.
+    for (Request *w = &leader; w;) {
+        Request *next = w->nextL2;
+        fillL1(*w, pa_page, large);
+        w = next;
+    }
+}
+
+void
+TlbHierarchy::fillL1(Request &leader, mem::Addr pa_page, bool large)
+{
+    const TranslationRequest &req = leader.req;
+    const std::uint32_t cu = req.cu;
+    const bool erased =
+        l1Inflight_.erase(l1Key(req.ctx, cu, req.vaPage));
+    GPUWALK_ASSERT(erased, "orphan L1 fill");
+    l1s_[cu]->insert(req.vaPage, pa_page, large, req.ctx);
+    for (Request *w = &leader; w;) {
+        Request *next = w->nextL1;
+        reply(*w, pa_page, large);
+        w = next;
+    }
+}
+
+void
+TlbHierarchy::reply(Request &r, mem::Addr pa_page, bool large)
+{
+    if (auditTracking_)
+        ++wavefrontIo_[r.req.wavefront].out;
+    ++replied_;
+    r.req.complete(pa_page, large);
+    requestPool_.release(&r);
 }
 
 void
@@ -195,19 +214,25 @@ TlbHierarchy::registerInvariants(sim::Auditor &auditor)
 
     auditor.registerInvariant(
         "tlb.merge_pool", [this](sim::AuditContext &ctx) {
-            const std::size_t tables =
-                l1Inflight_.size() + l2Inflight_.size();
-            ctx.require(mergePool_.inUse() == tables,
-                        "merge-pool live count ", mergePool_.inUse(),
-                        " != in-flight table entries ", tables);
+            // One record per request between arrival and reply, merged
+            // or not; each miss table entry names a live leader.
+            const std::uint64_t inflight = requests_.value() - replied_;
+            ctx.require(requestPool_.inUse() == inflight,
+                        "request-pool live count ", requestPool_.inUse(),
+                        " != requests in flight ", inflight);
+            ctx.require(l1Inflight_.size() <= requestPool_.inUse()
+                            && l2Inflight_.size() <= l1Inflight_.size(),
+                        l1Inflight_.size(), " L1 and ",
+                        l2Inflight_.size(), " L2 misses in flight with ",
+                        requestPool_.inUse(), " live records");
             if (!ctx.final())
                 return;
             ctx.require(l1Inflight_.empty(), l1Inflight_.size(),
                         " L1 miss merges never filled");
             ctx.require(l2Inflight_.empty(), l2Inflight_.size(),
                         " L2 miss merges never filled");
-            ctx.require(mergePool_.inUse() == 0, "merge pool leaks ",
-                        mergePool_.inUse(), " entries at drain");
+            ctx.require(requestPool_.inUse() == 0, "request pool leaks ",
+                        requestPool_.inUse(), " records at drain");
         });
 
     auditor.registerInvariant(

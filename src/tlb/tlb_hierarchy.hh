@@ -7,6 +7,12 @@
  * to the same page merge at both levels, like cache MSHRs. The shared
  * L2 also tracks the number of distinct wavefronts touching it per
  * fixed-size epoch — the paper's Figure 12 contention metric.
+ *
+ * Each request is stored once, in a pooled record whose embedded
+ * event is rescheduled for every stage (L1 port, L1 lookup, L2 port,
+ * L2 lookup). A miss leader's record itself travels on to the L2, and
+ * requests merged behind a miss wait as links on the leader's record,
+ * so no request is copied between stages.
  */
 
 #ifndef GPUWALK_TLB_TLB_HIERARCHY_HH
@@ -65,16 +71,35 @@ class TlbHierarchy
                  TranslationService &iommu);
 
     /** Entry point from a CU's coalescer. @pre req.cu < numCus. */
-    void translate(TranslationRequest req);
+    void
+    translate(TranslationRequest req)
+    {
+        Request &r = newRequest();
+        r.req = std::move(req);
+        submit(r);
+    }
+
+    /**
+     * Like translate(), but builds the request in place in its pooled
+     * record: @p fill(TranslationRequest &) must set every field.
+     */
+    template <typename Fill>
+    void
+    translateWith(Fill &&fill)
+    {
+        Request &r = newRequest();
+        fill(r.req);
+        submit(r);
+    }
 
     /** Attaches a lifecycle tracer (nullptr = tracing off). */
     void setTracer(trace::Tracer *tracer) { tracer_ = tracer; }
 
     /**
-     * Registers this hierarchy's conservation invariants (merge-table
-     * vs. pool accounting; per-wavefront coalesced-in == responses-out)
-     * and enables the request/response accounting they check. Call
-     * before the run starts.
+     * Registers this hierarchy's conservation invariants (request
+     * records vs. requests in flight; per-wavefront coalesced-in ==
+     * responses-out) and enables the request/response accounting they
+     * check. Call before the run starts.
      */
     void registerInvariants(sim::Auditor &auditor);
 
@@ -96,12 +121,31 @@ class TlbHierarchy
     sim::StatGroup &stats() { return statGroup_; }
 
   private:
-    /** Pooled miss-merge record (cache-MSHR analogue). Recycled with
-     *  its vector capacity intact, so steady-state merging does not
-     *  allocate. */
-    struct MergeEntry
+    /**
+     * One request, from arrival to reply. A miss leader heads the list
+     * of requests merged behind it at L1 and, once it misses in the L2
+     * too, the list of L1 miss leaders merged behind it there. Pooled.
+     */
+    struct Request final : sim::Event
     {
-        std::vector<TranslationRequest> waiters;
+        enum class Stage : std::uint8_t
+        {
+            L1Port,
+            L1Lookup,
+            L2Port,
+            L2Lookup,
+        };
+
+        /** Runs the current stage. */
+        void process() override;
+
+        TlbHierarchy *tlbs = nullptr;
+        TranslationRequest req;
+        Stage stage = Stage::L1Port;
+        Request *nextL1 = nullptr; ///< next request on this L1 miss
+        Request *tailL1 = nullptr; ///< leader: last on its L1 list
+        Request *nextL2 = nullptr; ///< next L1 leader on this L2 miss
+        Request *tailL2 = nullptr; ///< leader: last on its L2 list
     };
 
     /** Packs (ctx, cu, vaPage) into one hash key: vaPage is
@@ -127,8 +171,24 @@ class TlbHierarchy
         return va_page | (std::uint64_t(ctx) << 48);
     }
 
-    void lookupL1(TranslationRequest req);
-    void accessL2(TranslationRequest req);
+    Request &
+    newRequest()
+    {
+        Request *r = requestPool_.acquire();
+        r->tlbs = this;
+        return *r;
+    }
+
+    /** Accounts for @p r and sends it to its CU's L1 port. */
+    void submit(Request &r);
+    void lookupL1(Request &r);
+    void accessL2(Request &r);
+    /** L2 fill of the L2 miss led by @p leader (the IOMMU reply). */
+    void fillL2(Request &leader, mem::Addr pa_page, bool large);
+    /** L1 fill of the L1 miss led by @p leader. */
+    void fillL1(Request &leader, mem::Addr pa_page, bool large);
+    /** Delivers @p r's translation and returns its record. */
+    void reply(Request &r, mem::Addr pa_page, bool large);
     void noteL2Access(std::uint32_t wavefront);
 
     sim::EventQueue &eq_;
@@ -144,14 +204,17 @@ class TlbHierarchy
     // In-flight miss tables are looked up and erased, never iterated,
     // so hashing them is determinism-safe.
 
-    /** In-flight L1 misses: l1Key(ctx, cu, vaPage) -> merge record. */
-    sim::FlatMap<std::uint64_t, MergeEntry *> l1Inflight_;
+    /** In-flight L1 misses: l1Key(ctx, cu, vaPage) -> leader. */
+    sim::FlatMap<std::uint64_t, Request *> l1Inflight_;
 
-    /** In-flight L2 misses: l2Key(ctx, vaPage) -> merge record. */
-    sim::FlatMap<std::uint64_t, MergeEntry *> l2Inflight_;
+    /** In-flight L2 misses: l2Key(ctx, vaPage) -> leader. */
+    sim::FlatMap<std::uint64_t, Request *> l2Inflight_;
 
-    /** Shared pool behind both miss tables. */
-    sim::ObjectPool<MergeEntry> mergePool_{64};
+    /** Every request in the hierarchy, merged or not. */
+    sim::ObjectPool<Request> requestPool_{256};
+
+    /** Requests answered (each returned its record). */
+    std::uint64_t replied_ = 0;
 
     // Fig. 12 epoch tracking: a wavefront counts once per epoch, when
     // its stamp first differs from the current epoch number.
@@ -161,9 +224,8 @@ class TlbHierarchy
     unsigned epochAccesses_ = 0;
 
     /** Per-wavefront request/response tally for the conservation
-     *  auditor. Only maintained (and the completion callbacks only
-     *  wrapped) once registerInvariants() has been called, so plain
-     *  runs pay nothing. */
+     *  auditor. Only maintained once registerInvariants() has been
+     *  called, so plain runs pay nothing. */
     struct WavefrontIo
     {
         std::uint64_t in = 0;  ///< requests coalesced in

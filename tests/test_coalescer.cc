@@ -114,8 +114,12 @@ referenceCoalesce(const std::vector<Addr> &lane_addrs)
             out.pages.push_back(page);
         const Addr line = mem::lineAlign(a);
         if (std::find(out.lines.begin(), out.lines.end(), line)
-            == out.lines.end())
+            == out.lines.end()) {
             out.lines.push_back(line);
+            out.linePage.push_back(static_cast<std::uint32_t>(
+                std::find(out.pages.begin(), out.pages.end(), page)
+                - out.pages.begin()));
+        }
     }
     return out;
 }
@@ -143,6 +147,7 @@ TEST(CoalescerDifferential, ExactOrderMatchesNaiveLoop)
         const CoalescedAccess want = referenceCoalesce(addrs);
         ASSERT_EQ(got.pages, want.pages) << "trial " << trial;
         ASSERT_EQ(got.lines, want.lines) << "trial " << trial;
+        ASSERT_EQ(got.linePage, want.linePage) << "trial " << trial;
         ASSERT_EQ(got.activeLanes, want.activeLanes);
     }
 }
@@ -159,6 +164,7 @@ TEST(CoalescerDifferential, WideInstructionsBeyondSixtyFourLanes)
         const CoalescedAccess want = referenceCoalesce(addrs);
         EXPECT_EQ(got.pages, want.pages);
         EXPECT_EQ(got.lines, want.lines);
+        EXPECT_EQ(got.linePage, want.linePage);
     }
 }
 

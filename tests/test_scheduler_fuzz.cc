@@ -285,6 +285,17 @@ validateTracedStream(const std::vector<trace::Event> &events,
         case EventKind::FaultServiced:
             FAIL() << "fault event in a fully resident run";
             break;
+        // The checked runs enable neither prefetch nor Wasp; the
+        // walker bookkeeping above does not model speculative walks,
+        // so their events must fail loudly rather than pass unchecked.
+        case EventKind::PrefetchIssued:
+        case EventKind::PrefetchUseful:
+            FAIL() << "prefetch event in a run without prefetch";
+            break;
+        case EventKind::LeaderIssued:
+        case EventKind::SpecAdmitted:
+            FAIL() << "Wasp event in a run without Wasp";
+            break;
         }
     }
 
