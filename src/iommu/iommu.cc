@@ -155,7 +155,8 @@ Iommu::registerInvariants(sim::Auditor &auditor)
         "iommu.request_conservation", [this](sim::AuditContext &ctx) {
             // Every received request is eventually classified as an
             // IOMMU TLB hit or a walk; mid-run some are still in the
-            // hop/front-port pipeline.
+            // hop/front-port pipeline. Each holds its arrival record
+            // until it is answered or enters the walk path.
             const std::uint64_t classified =
                 tlbHits_.value() + walkRequests_.value();
             const std::uint64_t received = requests_.value();
@@ -163,6 +164,11 @@ Iommu::registerInvariants(sim::Auditor &auditor)
                                         : classified <= received;
             ctx.require(ok, received, " requests received vs ",
                         classified, " classified (hits + walks)");
+            const std::uint64_t live = arrivalPool_.inUse();
+            ctx.require(ctx.final() ? live == 0
+                                    : live >= received - classified,
+                        live, " arrival records live with ",
+                        received - classified, " requests unclassified");
         });
 
     auditor.registerInvariant(

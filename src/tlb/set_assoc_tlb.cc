@@ -55,6 +55,26 @@ SetAssocTlb::SetAssocTlb(const TlbConfig &cfg)
     statGroup_.add(evictions_);
 }
 
+std::size_t
+SetAssocTlb::matchWay(std::size_t base, mem::Addr want) const
+{
+    // Most probes miss the whole set, so the cost is the branch per
+    // way, not the compare: test four ways per branch, then find the
+    // matching one.
+    const mem::Addr *tags = tag_.data() + base;
+    const std::size_t ways = cfg_.associativity;
+    std::size_t w = 0;
+    while (w + 4 <= ways
+           && !((tags[w] == want) | (tags[w + 1] == want)
+                | (tags[w + 2] == want) | (tags[w + 3] == want)))
+        w += 4;
+    for (; w < ways; ++w) {
+        if (tags[w] == want)
+            return w;
+    }
+    return npos;
+}
+
 SetAssocTlb::Where
 SetAssocTlb::findSlot(mem::Addr va_page, bool large, ContextId ctx) const
 {
@@ -66,12 +86,10 @@ SetAssocTlb::findSlot(mem::Addr va_page, bool large, ContextId ctx) const
     const std::size_t base = set * cfg_.associativity;
     // The context is part of the tag: a VPN never hits across address
     // spaces.
-    const mem::Addr want = packTag(vpn, ctx, large);
-    for (std::size_t i = base; i < base + cfg_.associativity; ++i) {
-        if (tag_[i] == want)
-            return {i, set};
-    }
-    return {};
+    const std::size_t way = matchWay(base, packTag(vpn, ctx, large));
+    if (way == npos)
+        return {};
+    return {base + way, set};
 }
 
 SetAssocTlb::Where
@@ -174,14 +192,12 @@ SetAssocTlb::insert(mem::Addr va_page, mem::Addr pa_page,
     const mem::Addr want = packTag(vpn, ctx, large_page);
     const std::size_t set = setIndex(vpn, ctx);
     const std::size_t base = set * cfg_.associativity;
-    for (std::size_t i = base; i < base + cfg_.associativity; ++i) {
-        if (tag_[i] == want) {
-            ppn_[i] = ppn;
-            touch(set, i - base);
-            return;
-        }
+    std::size_t way = matchWay(base, want);
+    if (way != npos) {
+        ppn_[base + way] = ppn;
+        touch(set, way);
+        return;
     }
-    std::size_t way;
     if (const std::uint64_t free = invalid_[set]) {
         way = static_cast<std::size_t>(std::countr_zero(free));
         invalid_[set] = free & (free - 1);

@@ -150,6 +150,10 @@ class SetAssocTlb
                | (large ? largeBit : 0) | validBit;
     }
 
+    /** Way of the set starting at slot @p base whose tag word is
+     *  @p want, or npos. */
+    std::size_t matchWay(std::size_t base, mem::Addr want) const;
+
     /** Where an entry sits: its slot (npos when absent) and set. */
     struct Where
     {

@@ -136,6 +136,31 @@ TEST_F(GpuFixture, EmptyInstructionStillRetires)
     EXPECT_EQ(gpu->totalInstructions(), 2u);
 }
 
+TEST_F(GpuFixture, VirtualL1SlotRetiresEachInstructionOnce)
+{
+    // Virtual L1: no up-front translation, so each instruction's only
+    // completions are its line returns. The slot holds its in-flight
+    // instruction; draining the whole queue (not just until done)
+    // would trip the slot's instruction-id check on any late or
+    // repeated completion.
+    cfg.virtualL1Cache = true;
+    build(1, 2);
+    gpu::GpuWorkload wl;
+    for (int w = 0; w < 2; ++w) {
+        const Addr base = 0x1000000 + Addr(w) * 0x100000;
+        wl.traces.push_back({divergentLoad(base, 4),
+                             gpu::SimdMemInstruction{},
+                             divergentLoad(base + 0x40000, 3)});
+    }
+    gpu->loadWorkload(std::move(wl));
+    gpu->start();
+    eq.run();
+    EXPECT_TRUE(gpu->done());
+    EXPECT_EQ(gpu->cu(0).instructionsRetired(), 6u);
+    EXPECT_EQ(memory.accesses, 2u * (4u + 3u));
+    EXPECT_EQ(tlbs->l1(0).hits() + tlbs->l1(0).misses(), 0u);
+}
+
 TEST_F(GpuFixture, WavefrontsSpreadRoundRobinOverCus)
 {
     build(2, 2);

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
 #include <random>
 #include <vector>
@@ -219,6 +220,19 @@ class ReferenceTlb
         return true;
     }
 
+    void
+    invalidateAll()
+    {
+        std::fill(valid_.begin(), valid_.end(), false);
+    }
+
+    unsigned
+    population() const
+    {
+        return static_cast<unsigned>(
+            std::count(valid_.begin(), valid_.end(), true));
+    }
+
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
     std::uint64_t insertions = 0;
@@ -275,19 +289,24 @@ class ReferenceTlb
 };
 
 /**
- * Random lookups, fills (4 KB and 2 MB, three contexts) and single
- * invalidations over a page universe a few times the TLB's capacity.
+ * Random lookups, fills (4 KB and 2 MB, three contexts), single
+ * invalidations and (one op in @p flush_every) whole-TLB flushes over
+ * a page universe of @p universe_per_entry times the TLB's capacity.
  * After every operation the hit counters, the insertions/evictions
- * counts and the full resident set (a probe of every page in the
- * universe, which exposes any different victim) must match.
+ * counts, the population and the full resident set (a probe of every
+ * page in the universe, which exposes any different victim) must
+ * match.
  */
 void
-fuzzAgainstReference(unsigned entries, unsigned ways, std::uint32_t seed)
+fuzzAgainstReference(unsigned entries, unsigned ways, std::uint32_t seed,
+                     double universe_per_entry = 4.0,
+                     unsigned flush_every = 1000)
 {
     SetAssocTlb tlb({"t", entries, ways});
     ReferenceTlb ref(entries, ways);
     std::mt19937_64 rng(seed);
-    const std::uint64_t universe = 4 * entries;
+    const auto universe =
+        static_cast<std::uint64_t>(universe_per_entry * entries);
     // Pages sit in two 2 MB regions apart from the small-page range so
     // large fills cover some of them.
     const auto va_of = [](std::uint64_t n) {
@@ -298,6 +317,10 @@ fuzzAgainstReference(unsigned entries, unsigned ways, std::uint32_t seed)
         const Addr va = va_of(rng() % universe);
         const auto ctx = static_cast<ContextId>(rng() % 3 == 0 ? rng() % 3
                                                                : 0);
+        if (rng() % flush_every == 0) {
+            tlb.invalidateAll();
+            ref.invalidateAll();
+        }
         switch (rng() % 8) {
           case 0:
           case 1:
@@ -322,6 +345,7 @@ fuzzAgainstReference(unsigned entries, unsigned ways, std::uint32_t seed)
         ASSERT_EQ(tlb.misses(), ref.misses);
         ASSERT_EQ(tlb.insertions(), ref.insertions) << "op " << op;
         ASSERT_EQ(tlb.evictions(), ref.evictions) << "op " << op;
+        ASSERT_EQ(tlb.population(), ref.population()) << "op " << op;
         for (std::uint64_t n = 0; n < universe; ++n) {
             for (ContextId c = 0; c < 3; ++c) {
                 ASSERT_EQ(tlb.probe(va_of(n), c), ref.probe(va_of(n), c))
@@ -341,6 +365,34 @@ TEST(SetAssocTlbDifferential, SetAssociativeMatchesReference)
 {
     fuzzAgainstReference(8, 2, 3);
     fuzzAgainstReference(64, 16, 4);
+}
+
+TEST(SetAssocTlbDifferential, FullSetFa32EvictionsMatchReference)
+{
+    // The GPU L1 and IOMMU L1 geometry with a universe just above its
+    // capacity: the set stays full, so nearly every fill evicts and
+    // the LRU order decides which of 32 residents goes. Flushes are
+    // frequent enough that refills from empty recur too.
+    fuzzAgainstReference(32, 32, 5, 1.25, 300);
+    fuzzAgainstReference(32, 32, 6, 1.5, 300);
+}
+
+TEST(SetAssocTlb, InvalidateAllEmptiesEveryWay)
+{
+    SetAssocTlb tlb({"t", 4, 4});
+    for (std::uint64_t i = 0; i < 6; ++i)
+        tlb.insert(page(i), page(100 + i));
+    EXPECT_EQ(tlb.population(), 4u);
+    tlb.invalidateAll();
+    EXPECT_EQ(tlb.population(), 0u);
+    for (std::uint64_t i = 0; i < 6; ++i)
+        EXPECT_FALSE(tlb.probe(page(i)).has_value());
+    // Four fills after a flush land in the empty ways, evicting none.
+    const std::uint64_t evicted = tlb.evictions();
+    for (std::uint64_t i = 10; i < 14; ++i)
+        tlb.insert(page(i), page(100 + i));
+    EXPECT_EQ(tlb.evictions(), evicted);
+    EXPECT_EQ(tlb.population(), 4u);
 }
 
 } // namespace
