@@ -328,8 +328,10 @@ void
 Iommu::translate(tlb::TranslationRequest req)
 {
     ++requests_;
-    Arrival *a = arrivalPool_.acquire();
+    std::size_t slot;
+    Arrival *a = arrivalPool_.acquire(slot);
     a->iommu = this;
+    a->poolSlot = slot;
     a->req = std::move(req);
     a->stage = Arrival::Stage::Hop;
     eq_.scheduleIn(cfg_.hopLatency, *a);
@@ -347,13 +349,15 @@ Iommu::Arrival::process()
         iommu->lookupTlbs(*this);
         return;
       case Stage::Respond:
-        req.complete(paPage, largePage);
+        // The record stays live until released: run it in place.
+        if (req.onComplete)
+            req.onComplete(paPage, largePage);
         break;
       case Stage::Enqueue:
         iommu->enqueueWalk(std::move(req));
         break;
     }
-    iommu->arrivalPool_.release(this);
+    iommu->arrivalPool_.release(this, poolSlot);
 }
 
 void

@@ -367,6 +367,7 @@ class Iommu : public tlb::TranslationService
         void process() override;
 
         Iommu *iommu = nullptr;
+        std::size_t poolSlot = 0; ///< its slot in arrivalPool_
         tlb::TranslationRequest req;
         Stage stage = Stage::Hop;
         mem::Addr paPage = 0;   ///< Respond: the TLB hit's translation

@@ -89,8 +89,10 @@ Cache::access(MemoryRequest req)
     const Addr line = lineOf(req.addr);
     const Addr line_addr = line << lineShift_;
 
-    Reply *r = replyPool_.acquire();
+    std::size_t pool_slot;
+    Reply *r = replyPool_.acquire(pool_slot);
     r->cache = this;
+    r->poolSlot = pool_slot;
     r->req = std::move(req);
 
     const std::size_t slot = findSlot(line);
@@ -115,7 +117,8 @@ Cache::access(MemoryRequest req)
     }
 
     ++misses_;
-    Mshr *mshr = mshrPool_.acquire();
+    Mshr *mshr = mshrPool_.acquire(pool_slot);
+    mshr->poolSlot = pool_slot;
     it->second = mshr;
     mshr->cache = this;
     mshr->lineAddr = line_addr;
@@ -145,9 +148,10 @@ Cache::Mshr::process()
 void
 Cache::Reply::process()
 {
-    Cache *c = cache;
-    req.complete();
-    c->replyPool_.release(this);
+    // The record stays live until released: run the callback in place.
+    if (req.onComplete)
+        req.onComplete();
+    cache->replyPool_.release(this, poolSlot);
 }
 
 void
@@ -160,7 +164,7 @@ Cache::handleFill(Mshr *mshr)
 
     for (Reply *r = mshr->head; r; r = r->next)
         eq_.scheduleIn(cfg_.hitLatency, *r);
-    mshrPool_.release(mshr);
+    mshrPool_.release(mshr, mshr->poolSlot);
 }
 
 void

@@ -105,6 +105,7 @@ class Cache : public MemoryDevice
         void process() override;
 
         Cache *cache = nullptr;
+        std::size_t poolSlot = 0; ///< its slot in replyPool_
         MemoryRequest req;
         Reply *next = nullptr; ///< next waiter on the same MSHR
     };
@@ -120,6 +121,7 @@ class Cache : public MemoryDevice
         void process() override;
 
         Cache *cache = nullptr;
+        std::size_t poolSlot = 0; ///< its slot in mshrPool_
         Addr lineAddr = 0;
         bool anyWrite = false;
         Reply *head = nullptr; ///< the missing request, then merges

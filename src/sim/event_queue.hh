@@ -176,6 +176,9 @@ class PooledEvent final : public Event
 
     void process() override { runAndDestroyCallable(); }
 
+    /** This node's slot in the queue's pool. */
+    std::size_t poolSlot = 0;
+
   private:
     void *storage() { return store_; }
 
@@ -302,7 +305,9 @@ class EventQueue
     {
         GPUWALK_ASSERT(when >= now_, "scheduling event in the past (when=",
                        when, " now=", now_, ")");
-        detail::PooledEvent *ev = pool_.acquire();
+        std::size_t slot;
+        detail::PooledEvent *ev = pool_.acquire(slot);
+        ev->poolSlot = slot;
         ev->emplace(std::forward<F>(fn));
         ev->when_ = when;
         ev->prio_ = static_cast<std::int8_t>(prio);
@@ -398,7 +403,7 @@ class EventQueue
         if (ev->pooled_) {
             auto *pe = static_cast<detail::PooledEvent *>(ev);
             pe->runAndDestroyCallable();
-            pool_.release(pe);
+            pool_.release(pe, pe->poolSlot);
         } else {
             ev->process();
         }
@@ -567,7 +572,8 @@ class EventQueue
                 scanFrom_ = ev->when_;
             return;
         }
-        GPUWALK_ASSERT(b.head->when_ == ev->when_,
+        // The tail is read below anyway; the head may be a cold line.
+        GPUWALK_ASSERT(b.tail->when_ == ev->when_,
                        "mixed-tick bucket: window invariant broken");
         if (ordersBefore(b.tail, ev)) {
             // Fast path: fresh inserts carry the largest seq, so they

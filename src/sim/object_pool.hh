@@ -19,7 +19,9 @@
  * with one hash probe on its address chunk (chunks are the largest
  * power of two no bigger than a slab, so at most two slabs overlap
  * any chunk) — without reading through the (possibly foreign)
- * pointer.
+ * pointer. A caller that keeps the slot number acquire() reports can
+ * skip that probe: release(obj, slot) checks the pointer against the
+ * slot's own address instead.
  */
 
 #ifndef GPUWALK_SIM_OBJECT_POOL_HH
@@ -43,14 +45,16 @@ class ObjectPool
 {
   public:
     /** @param slab_objects Objects added per exhaustion-triggered
-     *  growth step. */
+     *  growth step; a power of two. */
     explicit ObjectPool(std::size_t slab_objects = 256)
         : slabObjects_(slab_objects),
+          slabShift_(static_cast<unsigned>(std::countr_zero(slab_objects))),
           chunkShift_(static_cast<unsigned>(std::countr_zero(
               std::bit_floor(std::max<std::size_t>(
                   slab_objects * sizeof(T), 1)))))
     {
-        GPUWALK_ASSERT(slabObjects_ > 0, "pool needs a slab size");
+        GPUWALK_ASSERT(std::has_single_bit(slabObjects_),
+                       "pool slab size must be a power of two");
     }
 
     ObjectPool(const ObjectPool &) = delete;
@@ -64,6 +68,15 @@ class ObjectPool
     T *
     acquire()
     {
+        std::size_t slot;
+        return acquire(slot);
+    }
+
+    /** acquire(), also storing the object's slot number in @p slot
+     *  for release(obj, slot). */
+    T *
+    acquire(std::size_t &slot)
+    {
         if (free_.empty())
             grow();
         const Free f = free_.back();
@@ -72,21 +85,30 @@ class ObjectPool
         ++inUse_;
         if (inUse_ > peakInUse_)
             peakInUse_ = inUse_;
+        slot = f.slot;
         return f.obj;
     }
 
     /** Returns @p obj to the free list. Panics on double release or
      *  on a pointer this pool never issued. */
+    void release(T *obj) { releaseSlot(obj, slotOf(obj)); }
+
+    /**
+     * release() for a caller that kept the slot number acquire()
+     * reported: @p obj must be that slot's object, which costs a slab
+     * lookup instead of a hash probe. Panics on a pointer that is not
+     * the slot's object, and on double release.
+     */
     void
-    release(T *obj)
+    release(T *obj, std::size_t slot)
     {
-        const std::size_t slot = slotOf(obj);
-        GPUWALK_ASSERT(live_[slot] == 1, "double release of pooled object ",
-                       static_cast<const void *>(obj));
-        live_[slot] = 0;
-        GPUWALK_ASSERT(inUse_ > 0, "pool release underflow");
-        --inUse_;
-        free_.push_back({obj, slot});
+        GPUWALK_ASSERT(slot < capacity()
+                           && slabs_[slot >> slabShift_].get()
+                                      + (slot & (slabObjects_ - 1))
+                                  == obj,
+                       "release of non-pooled object ",
+                       static_cast<const void *>(obj), " as slot ", slot);
+        releaseSlot(obj, slot);
     }
 
     /** Total objects owned (free + in use). */
@@ -115,6 +137,17 @@ class ObjectPool
     {
         std::uint32_t slab[2] = {noSlab, noSlab};
     };
+
+    void
+    releaseSlot(T *obj, std::size_t slot)
+    {
+        GPUWALK_ASSERT(live_[slot] == 1, "double release of pooled object ",
+                       static_cast<const void *>(obj));
+        live_[slot] = 0;
+        GPUWALK_ASSERT(inUse_ > 0, "pool release underflow");
+        --inUse_;
+        free_.push_back({obj, slot});
+    }
 
     void
     grow()
@@ -167,6 +200,7 @@ class ObjectPool
     }
 
     std::size_t slabObjects_;
+    unsigned slabShift_;  ///< log2 of slabObjects_
     unsigned chunkShift_; ///< log2 of the largest power of two <= slab
     std::vector<std::unique_ptr<T[]>> slabs_;
     FlatMap<std::uintptr_t, ChunkSlabs> chunkSlabs_; ///< chunk -> slabs

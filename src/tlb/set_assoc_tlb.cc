@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstring>
 
 namespace gpuwalk::tlb {
 
@@ -15,6 +16,17 @@ largeVpn(mem::Addr va)
 }
 
 constexpr mem::Addr largeOffsetPages = (1 << 21) >> mem::pageShift;
+
+/** Reverses the bytes of @p x (fingerprint words on big-endian hosts,
+ *  so byte k of a row is always bits 8k..8k+7). */
+constexpr std::uint64_t
+byteSwap(std::uint64_t x)
+{
+    std::uint64_t out = 0;
+    for (int i = 0; i < 8; ++i, x >>= 8)
+        out = out << 8 | (x & 0xff);
+    return out;
+}
 
 } // namespace
 
@@ -35,6 +47,9 @@ SetAssocTlb::SetAssocTlb(const TlbConfig &cfg)
     const std::size_t slots = numSets_ * ways;
     tag_.assign(slots, 0);
     ppn_.assign(slots, 0);
+    // Rows padded to whole 8-byte words; matchWay skips padding ways.
+    fpStride_ = (ways + 7) & ~std::size_t{7};
+    fp_.assign(numSets_ * fpStride_, 0);
 
     // Every set starts empty, its ways listed 0 (MRU) .. ways-1 (LRU).
     newer_.resize(slots);
@@ -56,21 +71,31 @@ SetAssocTlb::SetAssocTlb(const TlbConfig &cfg)
 }
 
 std::size_t
-SetAssocTlb::matchWay(std::size_t base, mem::Addr want) const
+SetAssocTlb::matchWay(std::size_t set, mem::Addr want) const
 {
-    // Most probes miss the whole set, so the cost is the branch per
-    // way, not the compare: test four ways per branch, then find the
-    // matching one.
-    const mem::Addr *tags = tag_.data() + base;
-    const std::size_t ways = cfg_.associativity;
-    std::size_t w = 0;
-    while (w + 4 <= ways
-           && !((tags[w] == want) | (tags[w + 1] == want)
-                | (tags[w + 2] == want) | (tags[w + 3] == want)))
-        w += 4;
-    for (; w < ways; ++w) {
-        if (tags[w] == want)
-            return w;
+    // Most probes miss the whole set. Compare the set's one-byte
+    // fingerprints eight ways per word (SWAR zero-byte test on the XOR
+    // with the wanted byte), and read a tag word only for the ways whose
+    // fingerprint matches. The zero-byte test can flag a byte above a
+    // true match; the tag compare rejects it, and at most one way holds
+    // the wanted tag.
+    constexpr std::uint64_t ones = 0x0101010101010101ull;
+    constexpr std::uint64_t highs = 0x8080808080808080ull;
+    const std::uint64_t pattern = fingerprint(want) * ones;
+    const std::uint8_t *row = fp_.data() + set * fpStride_;
+    const mem::Addr *tags = tag_.data() + set * cfg_.associativity;
+    for (std::size_t first = 0; first < cfg_.associativity; first += 8) {
+        std::uint64_t word;
+        std::memcpy(&word, row + first, sizeof word);
+        if constexpr (std::endian::native == std::endian::big)
+            word = byteSwap(word);
+        const std::uint64_t x = word ^ pattern;
+        for (std::uint64_t m = (x - ones) & ~x & highs; m; m &= m - 1) {
+            const std::size_t way =
+                first + static_cast<std::size_t>(std::countr_zero(m) >> 3);
+            if (way < cfg_.associativity && tags[way] == want)
+                return way;
+        }
     }
     return npos;
 }
@@ -83,13 +108,12 @@ SetAssocTlb::findSlot(mem::Addr va_page, bool large, ContextId ctx) const
     const mem::Addr vpn =
         large ? largeVpn(va_page) : mem::pageNumber(va_page);
     const std::size_t set = setIndex(vpn, ctx);
-    const std::size_t base = set * cfg_.associativity;
     // The context is part of the tag: a VPN never hits across address
     // spaces.
-    const std::size_t way = matchWay(base, packTag(vpn, ctx, large));
+    const std::size_t way = matchWay(set, packTag(vpn, ctx, large));
     if (way == npos)
         return {};
-    return {base + way, set};
+    return {set * cfg_.associativity + way, set};
 }
 
 SetAssocTlb::Where
@@ -192,7 +216,7 @@ SetAssocTlb::insert(mem::Addr va_page, mem::Addr pa_page,
     const mem::Addr want = packTag(vpn, ctx, large_page);
     const std::size_t set = setIndex(vpn, ctx);
     const std::size_t base = set * cfg_.associativity;
-    std::size_t way = matchWay(base, want);
+    std::size_t way = matchWay(set, want);
     if (way != npos) {
         ppn_[base + way] = ppn;
         touch(set, way);
@@ -211,6 +235,7 @@ SetAssocTlb::insert(mem::Addr va_page, mem::Addr pa_page,
     ++insertions_;
     tag_[base + way] = want;
     ppn_[base + way] = ppn;
+    fp_[set * fpStride_ + way] = fingerprint(want);
     touch(set, way);
     if (large_page)
         ++largeResident_;

@@ -8,7 +8,9 @@
  *
  * Entry state is stored structure-of-arrays. The VPN, context, page
  * size and valid bit are packed into one tag word, so matching a way
- * is a single 64-bit compare over a contiguous column; the ppn column
+ * is a single 64-bit compare over a contiguous column; a probe first
+ * filters the set's ways through a one-byte fingerprint per way, eight
+ * per word, and compares only the tag words those pass. The ppn column
  * is only touched on a hit or a fill. The set count must be a power of
  * two so indexing is a mask, not a division — every Table I geometry
  * qualifies.
@@ -84,9 +86,9 @@ class SetAssocTlb
 
     /**
      * Installs a translation for @p ctx, evicting LRU within the set
-     * if full (the first invalid way is filled before any eviction). With @p large_page, the entry covers the whole 2 MB
-     * region of @p va_page (addresses may be given at 4 KB
-     * granularity).
+     * if full (the first invalid way is filled before any eviction).
+     * With @p large_page, the entry covers the whole 2 MB region of
+     * @p va_page (addresses may be given at 4 KB granularity).
      */
     void insert(mem::Addr va_page, mem::Addr pa_page,
                 bool large_page = false,
@@ -150,9 +152,16 @@ class SetAssocTlb
                | (large ? largeBit : 0) | validBit;
     }
 
-    /** Way of the set starting at slot @p base whose tag word is
-     *  @p want, or npos. */
-    std::size_t matchWay(std::size_t base, mem::Addr want) const;
+    /** One-byte digest of a tag word, kept per way to filter probes. */
+    static std::uint8_t
+    fingerprint(mem::Addr tag)
+    {
+        return static_cast<std::uint8_t>((tag * 0x9e3779b97f4a7c15ull)
+                                         >> 56);
+    }
+
+    /** Way of @p set whose tag word is @p want, or npos. */
+    std::size_t matchWay(std::size_t set, mem::Addr want) const;
 
     /** Where an entry sits: its slot (npos when absent) and set. */
     struct Where
@@ -191,6 +200,10 @@ class SetAssocTlb
     // Entry columns, slot = set * associativity + way.
     std::vector<mem::Addr> tag_;
     std::vector<mem::Addr> ppn_;
+    /** fingerprint() of each way's last fill, rows of fpStride_ bytes
+     *  per set. Stale for invalid ways: the tag compare decides. */
+    std::vector<std::uint8_t> fp_;
+    std::size_t fpStride_ = 0;
 
     // Recency list, per set: way links by slot, MRU/LRU ends by set.
     std::vector<std::uint8_t> newer_; ///< toward the MRU end

@@ -186,8 +186,10 @@ TlbHierarchy::reply(Request &r, mem::Addr pa_page, bool large)
     if (auditTracking_)
         ++wavefrontIo_[r.req.wavefront].out;
     ++replied_;
-    r.req.complete(pa_page, large);
-    requestPool_.release(&r);
+    // The record stays live until released: run the callback in place.
+    if (r.req.onComplete)
+        r.req.onComplete(pa_page, large);
+    requestPool_.release(&r, r.poolSlot);
 }
 
 void

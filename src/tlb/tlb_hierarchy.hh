@@ -140,6 +140,7 @@ class TlbHierarchy
         void process() override;
 
         TlbHierarchy *tlbs = nullptr;
+        std::size_t poolSlot = 0; ///< its slot in requestPool_
         TranslationRequest req;
         Stage stage = Stage::L1Port;
         Request *nextL1 = nullptr; ///< next request on this L1 miss
@@ -174,8 +175,10 @@ class TlbHierarchy
     Request &
     newRequest()
     {
-        Request *r = requestPool_.acquire();
+        std::size_t slot;
+        Request *r = requestPool_.acquire(slot);
         r->tlbs = this;
+        r->poolSlot = slot;
         return *r;
     }
 

@@ -6,7 +6,8 @@
  * retention across acquire/release cycles (the property the simulator's
  * hot paths rely on to stay allocation-free), the in-use accounting,
  * and the always-on release validation: double release and foreign
- * pointers must panic, not corrupt the free list.
+ * pointers must panic, not corrupt the free list, whether the caller
+ * releases by pointer or by the slot acquire() reported.
  */
 
 #include <gtest/gtest.h>
@@ -219,6 +220,41 @@ TEST(ObjectPoolDeathTest, OnePastTheLastSlabPanics)
     EXPECT_DEATH(pool.release(past_end), "non-pooled");
     for (Payload *p : held)
         pool.release(p);
+}
+
+TEST(ObjectPool, ReleaseBySlotRecyclesLikeRelease)
+{
+    ObjectPool<Payload> pool(4);
+    std::vector<std::pair<Payload *, std::size_t>> held;
+    for (int i = 0; i < 6; ++i) {
+        std::size_t slot = 99;
+        Payload *p = pool.acquire(slot);
+        EXPECT_EQ(slot, static_cast<std::size_t>(i)); // slab order
+        held.emplace_back(p, slot);
+    }
+    for (auto &[p, slot] : held)
+        pool.release(p, slot);
+    EXPECT_EQ(pool.inUse(), 0u);
+    std::size_t slot = 99;
+    EXPECT_EQ(pool.acquire(slot), held.back().first); // LIFO
+    EXPECT_EQ(slot, held.back().second);
+    pool.release(held.back().first);
+}
+
+TEST(ObjectPoolDeathTest, ReleaseBySlotChecksThePair)
+{
+    ObjectPool<Payload> pool(4);
+    std::size_t slot_a = 0;
+    std::size_t slot_b = 0;
+    Payload *a = pool.acquire(slot_a);
+    Payload *b = pool.acquire(slot_b);
+    EXPECT_DEATH(pool.release(a, slot_b), "non-pooled");
+    EXPECT_DEATH(pool.release(a, 4), "non-pooled"); // past capacity
+    Payload stack_object;
+    EXPECT_DEATH(pool.release(&stack_object, slot_a), "non-pooled");
+    pool.release(a, slot_a);
+    EXPECT_DEATH(pool.release(a, slot_a), "double release");
+    pool.release(b, slot_b);
 }
 
 TEST(ObjectPoolDeathTest, ReleasingAnotherPoolsObjectPanics)
