@@ -2,7 +2,8 @@
 # Tier-1 verification: configure, build, run the full test suite,
 # repeat the determinism tests on every core, then smoke one bench
 # through the parallel runner and sanity-check its structured JSON
-# output, and gate an audited bench on zero violations.
+# output, gate an audited bench on zero violations, and run the CI
+# hot-path micro-benchmark gate on a Release build.
 # Usage: scripts/check.sh [build-dir]
 set -e
 
@@ -50,5 +51,13 @@ rm -f "$AUDIT_JSON"
 "$BUILD"/bench/bench_ablation_multiprogram --jobs 2 --audit \
     --json "$AUDIT_JSON"
 python3 "$ROOT"/scripts/check_audited.py "$AUDIT_JSON"
+
+# Hot-path micro-benchmark gate (the CI perf-smoke job), on a Release
+# build of the one bench it reads: its baselines were measured so.
+cmake -S . -B "$BUILD-perf" -DCMAKE_BUILD_TYPE=Release
+cmake --build "$BUILD-perf" -j "$(nproc 2>/dev/null || echo 4)" \
+    --target bench_micro_components
+python3 "$ROOT"/scripts/perf_smoke.py \
+    "$BUILD-perf"/bench/bench_micro_components
 
 echo "check.sh: all green"

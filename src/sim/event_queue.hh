@@ -134,9 +134,11 @@ namespace detail {
 class PooledEvent final : public Event
 {
   public:
-    /** Sized for the largest hot capture in the codebase (a moved-in
-     *  TranslationRequest plus a TLB entry, ~120 bytes). */
-    static constexpr std::size_t inlineBytes = 128;
+    /** Sized for the largest hot capture in the codebase: the DRAM
+     *  controller's completion, a moved-in MemoryRequest (96 bytes).
+     *  Translation-path requests travel in their layers' intrusive
+     *  records instead. */
+    static constexpr std::size_t inlineBytes = 96;
 
     template <typename F>
     void

@@ -98,11 +98,14 @@ coalesce(const std::vector<mem::Addr> &lane_addrs)
     seen_lines.reset(lane_addrs.size());
 
     for (mem::Addr a : lane_addrs) {
-        const std::uint32_t page =
-            indexOf(out.pages, seen_pages, mem::pageAlign(a));
+        // A line seen before lies in a page seen before, so only a new
+        // line looks its page up. Pages keep first-touch order: a page's
+        // first lane always brings a new line.
         const std::size_t lines = out.lines.size();
-        if (indexOf(out.lines, seen_lines, mem::lineAlign(a)) == lines)
-            out.linePage.push_back(page);
+        if (indexOf(out.lines, seen_lines, mem::lineAlign(a)) != lines)
+            continue;
+        out.linePage.push_back(
+            indexOf(out.pages, seen_pages, mem::pageAlign(a)));
     }
     return out;
 }

@@ -175,8 +175,9 @@ TEST(FlatMap, RandomizedMixedWorkloadMatchesUnorderedMap)
                 const auto it = m.find(k);
                 const auto rit = ref.find(k);
                 EXPECT_EQ(it == m.end(), rit == ref.end());
-                if (it != m.end() && rit != ref.end())
+                if (it != m.end() && rit != ref.end()) {
                     EXPECT_EQ(it->second, rit->second);
+                }
                 break;
             }
             }

@@ -367,6 +367,15 @@ TEST(SetAssocTlbDifferential, SetAssociativeMatchesReference)
     fuzzAgainstReference(64, 16, 4);
 }
 
+TEST(SetAssocTlbDifferential, PartialAndWideFingerprintRowsMatchReference)
+{
+    // Probes filter ways by fingerprint, eight per word: 12 ways leave
+    // a padded word per set, 64 ways fill eight words and the whole
+    // invalid-way mask.
+    fuzzAgainstReference(48, 12, 7);
+    fuzzAgainstReference(64, 64, 8);
+}
+
 TEST(SetAssocTlbDifferential, FullSetFa32EvictionsMatchReference)
 {
     // The GPU L1 and IOMMU L1 geometry with a universe just above its
