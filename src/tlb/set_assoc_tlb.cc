@@ -52,17 +52,15 @@ SetAssocTlb::SetAssocTlb(const TlbConfig &cfg)
     fp_.assign(numSets_ * fpStride_, 0);
 
     // Every set starts empty, its ways listed 0 (MRU) .. ways-1 (LRU).
-    newer_.resize(slots);
-    older_.resize(slots);
+    links_.resize(slots);
     for (std::size_t i = 0; i < slots; ++i) {
         const std::size_t way = i % ways;
-        newer_[i] = static_cast<std::uint8_t>(way == 0 ? 0 : way - 1);
-        older_[i] = static_cast<std::uint8_t>(way + 1 == ways ? way
-                                                              : way + 1);
+        links_[i].newer = static_cast<std::uint8_t>(way == 0 ? 0 : way - 1);
+        links_[i].older =
+            static_cast<std::uint8_t>(way + 1 == ways ? way : way + 1);
     }
-    mru_.assign(numSets_, 0);
-    lru_.assign(numSets_, static_cast<std::uint8_t>(ways - 1));
-    invalid_.assign(numSets_, allWays());
+    sets_.assign(numSets_,
+                 SetState{allWays(), 0, static_cast<std::uint8_t>(ways - 1)});
 
     statGroup_.add(hits_);
     statGroup_.add(misses_);
@@ -140,23 +138,24 @@ void
 SetAssocTlb::touch(std::size_t set, std::size_t way)
 {
     const auto w = static_cast<std::uint8_t>(way);
-    const std::uint8_t head = mru_[set];
+    SetState &s = sets_[set];
+    const std::uint8_t head = s.mru;
     if (head == w)
         return;
-    const std::size_t base = set * cfg_.associativity;
+    Link *links = links_.data() + set * cfg_.associativity;
     // Unlink: a way below the head always has a newer neighbour.
-    const std::uint8_t newer = newer_[base + way];
-    const std::uint8_t older = older_[base + way];
-    if (lru_[set] == w) {
-        lru_[set] = newer;
+    const std::uint8_t newer = links[way].newer;
+    const std::uint8_t older = links[way].older;
+    if (s.lru == w) {
+        s.lru = newer;
     } else {
-        newer_[base + older] = newer;
+        links[older].newer = newer;
     }
-    older_[base + newer] = older;
+    links[newer].older = older;
     // Relink at the MRU end.
-    older_[base + way] = head;
-    newer_[base + head] = w;
-    mru_[set] = w;
+    links[way].older = head;
+    links[head].newer = w;
+    s.mru = w;
 }
 
 void
@@ -167,8 +166,8 @@ SetAssocTlb::drop(Where w)
     tag_[w.slot] = 0;
     // The way keeps its list position: invalid ways are filled before
     // the LRU end is ever read, and a fill moves its way to the head.
-    invalid_[w.set] |= std::uint64_t(1)
-                       << (w.slot - w.set * cfg_.associativity);
+    sets_[w.set].invalid |= std::uint64_t(1)
+                            << (w.slot - w.set * cfg_.associativity);
 }
 
 std::optional<TlbHit>
@@ -222,11 +221,12 @@ SetAssocTlb::insert(mem::Addr va_page, mem::Addr pa_page,
         touch(set, way);
         return;
     }
-    if (const std::uint64_t free = invalid_[set]) {
+    SetState &s = sets_[set];
+    if (const std::uint64_t free = s.invalid) {
         way = static_cast<std::size_t>(std::countr_zero(free));
-        invalid_[set] = free & (free - 1);
+        s.invalid = free & (free - 1);
     } else {
-        way = lru_[set];
+        way = s.lru;
         ++evictions_;
         if (tag_[base + way] & largeBit)
             --largeResident_;
@@ -245,7 +245,8 @@ void
 SetAssocTlb::invalidateAll()
 {
     std::fill(tag_.begin(), tag_.end(), mem::Addr{0});
-    std::fill(invalid_.begin(), invalid_.end(), allWays());
+    for (SetState &s : sets_)
+        s.invalid = allWays();
     largeResident_ = 0;
 }
 
@@ -263,8 +264,8 @@ unsigned
 SetAssocTlb::population() const
 {
     unsigned invalid = 0;
-    for (const std::uint64_t mask : invalid_)
-        invalid += static_cast<unsigned>(std::popcount(mask));
+    for (const SetState &s : sets_)
+        invalid += static_cast<unsigned>(std::popcount(s.invalid));
     return cfg_.entries - invalid;
 }
 

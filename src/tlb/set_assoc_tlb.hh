@@ -205,13 +205,23 @@ class SetAssocTlb
     std::vector<std::uint8_t> fp_;
     std::size_t fpStride_ = 0;
 
-    // Recency list, per set: way links by slot, MRU/LRU ends by set.
-    std::vector<std::uint8_t> newer_; ///< toward the MRU end
-    std::vector<std::uint8_t> older_; ///< toward the LRU end
-    std::vector<std::uint8_t> mru_;
-    std::vector<std::uint8_t> lru_;
-    /** Per set: bit w set iff way w holds no valid entry. */
-    std::vector<std::uint64_t> invalid_;
+    /** A way's neighbours on its set's recency list (way indices). */
+    struct Link
+    {
+        std::uint8_t newer; ///< toward the MRU end
+        std::uint8_t older; ///< toward the LRU end
+    };
+
+    /** A set's replacement state, in one place for the fill path. */
+    struct SetState
+    {
+        std::uint64_t invalid; ///< bit w set iff way w holds no entry
+        std::uint8_t mru;      ///< recency list head
+        std::uint8_t lru;      ///< recency list tail
+    };
+
+    std::vector<Link> links_; ///< by slot
+    std::vector<SetState> sets_;
 
     /** Valid 2 MB entries resident; when zero, the large-tag probe of
      *  every lookup and fill short-circuits (most runs never install

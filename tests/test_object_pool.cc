@@ -5,14 +5,13 @@
  * Covers growth on exhaustion, LIFO recycle identity, capacity
  * retention across acquire/release cycles (the property the simulator's
  * hot paths rely on to stay allocation-free), the in-use accounting,
- * and the always-on release validation: double release and foreign
- * pointers must panic, not corrupt the free list, whether the caller
- * releases by pointer or by the slot acquire() reported.
+ * and the always-on release validation: double release, foreign
+ * pointers and a pointer released as another object's slot must panic,
+ * not corrupt the free list.
  */
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <set>
 #include <vector>
 
@@ -28,28 +27,52 @@ struct Payload
     std::vector<int> scratch;
 };
 
+/** An acquired object with the slot number release() takes. */
+struct Held
+{
+    Payload *obj = nullptr;
+    std::size_t slot = 0;
+
+    bool operator==(const Held &) const = default;
+};
+
+Held
+take(ObjectPool<Payload> &pool)
+{
+    Held h;
+    h.obj = pool.acquire(h.slot);
+    return h;
+}
+
+void
+give(ObjectPool<Payload> &pool, Held h)
+{
+    pool.release(h.obj, h.slot);
+}
+
 TEST(ObjectPool, StartsEmptyAndGrowsOnFirstAcquire)
 {
     ObjectPool<Payload> pool(4);
     EXPECT_EQ(pool.capacity(), 0u);
     EXPECT_EQ(pool.slabCount(), 0u);
 
-    Payload *p = pool.acquire();
-    ASSERT_NE(p, nullptr);
+    const Held p = take(pool);
+    ASSERT_NE(p.obj, nullptr);
     EXPECT_EQ(pool.capacity(), 4u);
     EXPECT_EQ(pool.slabCount(), 1u);
     EXPECT_EQ(pool.inUse(), 1u);
-    pool.release(p);
+    give(pool, p);
 }
 
 TEST(ObjectPool, ExhaustionAddsSlabsAndPointersStayDistinct)
 {
     ObjectPool<Payload> pool(4);
     std::set<Payload *> seen;
-    std::vector<Payload *> held;
-    for (int i = 0; i < 11; ++i) {
-        Payload *p = pool.acquire();
-        EXPECT_TRUE(seen.insert(p).second) << "duplicate live pointer";
+    std::vector<Held> held;
+    for (std::size_t i = 0; i < 11; ++i) {
+        const Held p = take(pool);
+        EXPECT_TRUE(seen.insert(p.obj).second) << "duplicate live pointer";
+        EXPECT_EQ(p.slot, i); // slots come out in slab order
         held.push_back(p);
     }
     EXPECT_EQ(pool.slabCount(), 3u); // ceil(11 / 4)
@@ -57,8 +80,8 @@ TEST(ObjectPool, ExhaustionAddsSlabsAndPointersStayDistinct)
     EXPECT_EQ(pool.inUse(), 11u);
     EXPECT_EQ(pool.peakInUse(), 11u);
 
-    for (Payload *p : held)
-        pool.release(p);
+    for (const Held &p : held)
+        give(pool, p);
     EXPECT_EQ(pool.inUse(), 0u);
     EXPECT_EQ(pool.peakInUse(), 11u); // high-water mark sticks
     EXPECT_EQ(pool.capacity(), 12u);  // slabs are never returned
@@ -67,15 +90,15 @@ TEST(ObjectPool, ExhaustionAddsSlabsAndPointersStayDistinct)
 TEST(ObjectPool, RecycleIsLifo)
 {
     ObjectPool<Payload> pool(8);
-    Payload *a = pool.acquire();
-    Payload *b = pool.acquire();
-    pool.release(b);
-    pool.release(a);
-    // Most recently released comes back first.
-    EXPECT_EQ(pool.acquire(), a);
-    EXPECT_EQ(pool.acquire(), b);
-    pool.release(a);
-    pool.release(b);
+    const Held a = take(pool);
+    const Held b = take(pool);
+    give(pool, b);
+    give(pool, a);
+    // Most recently released comes back first, with its slot.
+    EXPECT_EQ(take(pool), a);
+    EXPECT_EQ(take(pool), b);
+    give(pool, a);
+    give(pool, b);
 }
 
 TEST(ObjectPool, RecycledObjectsKeepStateAndCapacity)
@@ -84,29 +107,29 @@ TEST(ObjectPool, RecycledObjectsKeepStateAndCapacity)
     // as-is, so container capacity grown by one user is still there
     // for the next — that is what makes steady state allocation-free.
     ObjectPool<Payload> pool(2);
-    Payload *p = pool.acquire();
-    p->value = 42;
-    p->scratch.reserve(1024);
-    const std::size_t cap = p->scratch.capacity();
-    pool.release(p);
+    const Held p = take(pool);
+    p.obj->value = 42;
+    p.obj->scratch.reserve(1024);
+    const std::size_t cap = p.obj->scratch.capacity();
+    give(pool, p);
 
-    Payload *q = pool.acquire();
+    const Held q = take(pool);
     ASSERT_EQ(q, p);
-    EXPECT_EQ(q->value, 42);
-    EXPECT_GE(q->scratch.capacity(), cap);
-    pool.release(q);
+    EXPECT_EQ(q.obj->value, 42);
+    EXPECT_GE(q.obj->scratch.capacity(), cap);
+    give(pool, q);
 }
 
 TEST(ObjectPool, InUseTracksAcquireReleaseCycles)
 {
     ObjectPool<Payload> pool(4);
-    std::vector<Payload *> held;
+    std::vector<Held> held;
     for (int cycle = 0; cycle < 3; ++cycle) {
         for (int i = 0; i < 3; ++i)
-            held.push_back(pool.acquire());
+            held.push_back(take(pool));
         EXPECT_EQ(pool.inUse(), 3u);
-        for (Payload *p : held)
-            pool.release(p);
+        for (const Held &p : held)
+            give(pool, p);
         held.clear();
         EXPECT_EQ(pool.inUse(), 0u);
     }
@@ -123,17 +146,17 @@ TEST(ObjectPool, LiveCountStaysExactUnderRecycleWhileIterating)
     // interleaved acquire/release exactly — no drift, no double count
     // when LIFO hands the just-released slot straight back.
     ObjectPool<Payload> pool(4);
-    std::vector<Payload *> held;
+    std::vector<Held> held;
     for (int i = 0; i < 8; ++i) {
-        held.push_back(pool.acquire());
-        held.back()->value = i;
+        held.push_back(take(pool));
+        held.back().obj->value = i;
     }
     ASSERT_EQ(pool.inUse(), 8u);
 
     for (std::size_t i = 0; i < held.size(); ++i) {
-        pool.release(held[i]);
+        give(pool, held[i]);
         EXPECT_EQ(pool.inUse(), 7u);
-        Payload *fresh = pool.acquire();
+        const Held fresh = take(pool);
         EXPECT_EQ(fresh, held[i]); // LIFO returns the same slot
         EXPECT_EQ(pool.inUse(), 8u);
         held[i] = fresh;
@@ -145,11 +168,11 @@ TEST(ObjectPool, LiveCountStaysExactUnderRecycleWhileIterating)
     // must step down one per release, ending exactly at zero.
     std::size_t expect = 8;
     for (std::size_t i = 1; i < held.size(); i += 2) {
-        pool.release(held[i]);
+        give(pool, held[i]);
         EXPECT_EQ(pool.inUse(), --expect);
     }
     for (std::size_t i = 0; i < held.size(); i += 2) {
-        pool.release(held[i]);
+        give(pool, held[i]);
         EXPECT_EQ(pool.inUse(), --expect);
     }
     EXPECT_EQ(pool.inUse(), 0u);
@@ -157,20 +180,20 @@ TEST(ObjectPool, LiveCountStaysExactUnderRecycleWhileIterating)
 
 TEST(ObjectPool, ReleaseFromThirtiethSlabWorks)
 {
-    // The TLB merge pool reaches ~30 slabs on irregular workloads; a
+    // Request pools grow to tens of slabs on irregular workloads; a
     // release deep in the slab list must resolve like one in the first.
     ObjectPool<Payload> pool(4);
-    std::vector<Payload *> held;
+    std::vector<Held> held;
     for (int i = 0; i < 30 * 4; ++i)
-        held.push_back(pool.acquire());
+        held.push_back(take(pool));
     ASSERT_EQ(pool.slabCount(), 30u);
 
-    Payload *deep = held[29 * 4 + 2]; // third object of slab 30
-    pool.release(deep);
+    const Held deep = held[29 * 4 + 2]; // third object of slab 30
+    give(pool, deep);
     EXPECT_EQ(pool.inUse(), 30u * 4 - 1);
-    EXPECT_EQ(pool.acquire(), deep); // LIFO hands it straight back
-    for (Payload *p : held)
-        pool.release(p);
+    EXPECT_EQ(take(pool), deep); // LIFO hands it straight back
+    for (const Held &p : held)
+        give(pool, p);
     EXPECT_EQ(pool.inUse(), 0u);
     EXPECT_EQ(pool.slabCount(), 30u);
 }
@@ -178,9 +201,9 @@ TEST(ObjectPool, ReleaseFromThirtiethSlabWorks)
 TEST(ObjectPoolDeathTest, DoubleReleasePanics)
 {
     ObjectPool<Payload> pool(4);
-    Payload *p = pool.acquire();
-    pool.release(p);
-    EXPECT_DEATH(pool.release(p), "double release");
+    const Held p = take(pool);
+    give(pool, p);
+    EXPECT_DEATH(give(pool, p), "double release");
 }
 
 TEST(ObjectPoolDeathTest, ReleaseAfterRecycleByAnotherOwnerPanics)
@@ -190,80 +213,58 @@ TEST(ObjectPoolDeathTest, ReleaseAfterRecycleByAnotherOwnerPanics)
     // the live owner. Re-acquiring sets the live flag again, so this
     // must trip the same validation only when genuinely stale.
     ObjectPool<Payload> pool(4);
-    Payload *p = pool.acquire();
-    pool.release(p);
-    Payload *q = pool.acquire();
+    const Held p = take(pool);
+    give(pool, p);
+    const Held q = take(pool);
     ASSERT_EQ(q, p); // LIFO: same slot, new owner
-    pool.release(q);
-    EXPECT_DEATH(pool.release(p), "double release");
+    give(pool, q);
+    EXPECT_DEATH(give(pool, p), "double release");
 }
 
 TEST(ObjectPoolDeathTest, ReleasingForeignPointerPanics)
 {
     ObjectPool<Payload> pool(4);
-    Payload *p = pool.acquire();
+    const Held p = take(pool);
     Payload stack_object;
-    EXPECT_DEATH(pool.release(&stack_object), "non-pooled");
-    pool.release(p);
+    EXPECT_DEATH(pool.release(&stack_object, p.slot), "non-pooled");
+    give(pool, p);
 }
 
 TEST(ObjectPoolDeathTest, OnePastTheLastSlabPanics)
 {
     ObjectPool<Payload> pool(4);
-    std::vector<Payload *> held;
+    std::vector<Held> held;
     for (int i = 0; i < 8; ++i)
-        held.push_back(pool.acquire());
+        held.push_back(take(pool));
     ASSERT_EQ(pool.slabCount(), 2u);
     // Acquires come out in slab order: held[7] ends the last slab.
-    Payload *past_end = held[7] + 1;
-    ASSERT_EQ(std::count(held.begin(), held.end(), past_end), 0);
-    EXPECT_DEATH(pool.release(past_end), "non-pooled");
-    for (Payload *p : held)
-        pool.release(p);
+    Payload *past_end = held[7].obj + 1;
+    EXPECT_DEATH(pool.release(past_end, held[7].slot), "non-pooled");
+    EXPECT_DEATH(pool.release(past_end, held[7].slot + 1), "non-pooled");
+    for (const Held &p : held)
+        give(pool, p);
 }
 
-TEST(ObjectPool, ReleaseBySlotRecyclesLikeRelease)
+TEST(ObjectPoolDeathTest, ReleaseAsAnotherSlotPanics)
 {
     ObjectPool<Payload> pool(4);
-    std::vector<std::pair<Payload *, std::size_t>> held;
-    for (int i = 0; i < 6; ++i) {
-        std::size_t slot = 99;
-        Payload *p = pool.acquire(slot);
-        EXPECT_EQ(slot, static_cast<std::size_t>(i)); // slab order
-        held.emplace_back(p, slot);
-    }
-    for (auto &[p, slot] : held)
-        pool.release(p, slot);
-    EXPECT_EQ(pool.inUse(), 0u);
-    std::size_t slot = 99;
-    EXPECT_EQ(pool.acquire(slot), held.back().first); // LIFO
-    EXPECT_EQ(slot, held.back().second);
-    pool.release(held.back().first);
-}
-
-TEST(ObjectPoolDeathTest, ReleaseBySlotChecksThePair)
-{
-    ObjectPool<Payload> pool(4);
-    std::size_t slot_a = 0;
-    std::size_t slot_b = 0;
-    Payload *a = pool.acquire(slot_a);
-    Payload *b = pool.acquire(slot_b);
-    EXPECT_DEATH(pool.release(a, slot_b), "non-pooled");
-    EXPECT_DEATH(pool.release(a, 4), "non-pooled"); // past capacity
-    Payload stack_object;
-    EXPECT_DEATH(pool.release(&stack_object, slot_a), "non-pooled");
-    pool.release(a, slot_a);
-    EXPECT_DEATH(pool.release(a, slot_a), "double release");
-    pool.release(b, slot_b);
+    const Held a = take(pool);
+    const Held b = take(pool);
+    EXPECT_DEATH(pool.release(a.obj, b.slot), "non-pooled");
+    give(pool, a);
+    give(pool, b);
 }
 
 TEST(ObjectPoolDeathTest, ReleasingAnotherPoolsObjectPanics)
 {
     ObjectPool<Payload> pool_a(4);
     ObjectPool<Payload> pool_b(4);
-    Payload *p = pool_a.acquire();
-    EXPECT_DEATH(pool_b.release(p), "non-pooled");
-    pool_a.release(p);
+    const Held p = take(pool_a);
+    EXPECT_DEATH(give(pool_b, p), "non-pooled");
+    const Held q = take(pool_b); // same slot number, other pool's object
+    EXPECT_DEATH(pool_b.release(p.obj, q.slot), "non-pooled");
+    give(pool_a, p);
+    give(pool_b, q);
 }
 
 } // namespace
