@@ -3,7 +3,7 @@
  * End-of-run conservation auditing.
  *
  * Long sweeps are only as trustworthy as their bookkeeping: a leaked
- * merge entry or a never-drained walk buffer corrupts every derived
+ * request record or a never-drained walk buffer corrupts every derived
  * speedup without failing a single test. Components therefore register
  * named Invariant closures with a per-System Auditor, which evaluates
  * them at configurable tick intervals during a run and exhaustively at

@@ -274,8 +274,8 @@ TEST(TlbAuditFault, DroppedIommuResponseFiresMergeAndWavefrontChecks)
     tlbs.translate(tlbRequest(0x2000, 1, &completions));
     drain(eq);
 
-    // The wavefront-0 response was swallowed: its merge entry leaks
-    // and its coalesced-in/responses-out tally cannot balance.
+    // The wavefront-0 response was swallowed: its request record
+    // leaks and its coalesced-in/responses-out tally cannot balance.
     EXPECT_EQ(completions, 1u);
     auditor.check(AuditPhase::Final, eq.now());
     EXPECT_TRUE(hasViolation(auditor.violations(), "tlb.merge_pool"));

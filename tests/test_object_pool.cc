@@ -139,10 +139,10 @@ TEST(ObjectPool, InUseTracksAcquireReleaseCycles)
 
 TEST(ObjectPool, LiveCountStaysExactUnderRecycleWhileIterating)
 {
-    // The merge-pool usage pattern the auditor's live-count invariant
-    // depends on: while walking a set of live objects, each step may
-    // release the current one and acquire a replacement (a completing
-    // merge entry spawning a follow-up). The count must track every
+    // The request-pool usage pattern the auditor's live-count
+    // invariant depends on: while walking a set of live objects, each
+    // step may release the current one and acquire a replacement (a
+    // completing request spawning a follow-up). The count must track every
     // interleaved acquire/release exactly — no drift, no double count
     // when LIFO hands the just-released slot straight back.
     ObjectPool<Payload> pool(4);
