@@ -349,7 +349,8 @@ Iommu::Arrival::process()
         iommu->lookupTlbs(*this);
         return;
       case Stage::Respond:
-        // The record stays live until released: run it in place.
+        // The record stays live until released: run the callback in
+        // place.
         if (req.onComplete)
             req.onComplete(paPage, largePage);
         break;
