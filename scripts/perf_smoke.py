@@ -46,5 +46,6 @@ for base in bases:
           f"(baseline {base['mean_ns']} ns, limit {limit:.2f} ns)")
     if got > limit:
         failed.append(f"{name} regressed: {got:.2f} ns > {limit:.2f} ns")
-assert not failed, "; ".join(failed)
+if failed:
+    sys.exit("perf smoke FAILED: " + "; ".join(failed))
 print(f"perf smoke ok: {len(bases)} rows within their limits")
